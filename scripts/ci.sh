@@ -2,7 +2,8 @@
 # CI pipeline: build + tier-1 tests, sanitizers, lint, schedule fuzz, and
 # the checks-compiled-out build.
 #
-#   scripts/ci.sh          # plain RelWithDebInfo build + ctest
+#   scripts/ci.sh          # plain RelWithDebInfo build + ctest; any
+#                          # compiler warning fails the build
 #   scripts/ci.sh asan     # Debug + -fsanitize=address,undefined + ctest
 #   scripts/ci.sh sanitize # UBSan run of test_engine + test_cached_open,
 #                          # plus a TSan build (build-only: the sim is
@@ -35,8 +36,9 @@ cd "$(dirname "$0")/.."
 
 run_preset() {
   local preset="$1"
+  shift
   echo "==> configure (${preset})"
-  cmake --preset "${preset}"
+  cmake --preset "${preset}" "$@"
   echo "==> build (${preset})"
   cmake --build --preset "${preset}" -j "$(nproc)"
   echo "==> test (${preset})"
@@ -345,7 +347,7 @@ run_obs() {
 }
 
 case "${1:-default}" in
-  default) run_preset default ;;
+  default) run_preset default -DCMAKE_COMPILE_WARNING_AS_ERROR=ON ;;
   asan)    run_preset asan ;;
   sanitize) run_sanitize ;;
   lint)    run_lint ;;
@@ -358,7 +360,8 @@ case "${1:-default}" in
   perf)    run_perf ;;
   fault)   run_fault ;;
   obs)     run_obs ;;
-  all)     run_preset default; run_preset asan; run_sanitize; run_lint
+  all)     run_preset default -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
+           run_preset asan; run_sanitize; run_lint
            run_slint; run_fuzz; run_chk_off; run_trace; run_bench_smoke
            run_scale; run_perf; run_fault; run_obs ;;
   *) echo "usage: $0 [default|asan|sanitize|lint|slint|fuzz|chk-off|trace|bench-smoke|scale|perf|fault|all|obs]" >&2

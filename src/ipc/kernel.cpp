@@ -49,8 +49,11 @@ sim::Co<msg::Message> Process::send(msg::Message request, ProcessId dest,
   ++rec.send_seq;
   ++domain_->stats_.messages_sent;
   if (!dest.local_to(host_id())) ++domain_->stats_.remote_messages;
-  Envelope env{pid_, request, segments, {}, {}, {},
-               static_cast<std::uint32_t>(rec.send_seq), {}};
+  Envelope env;
+  env.sender = pid_;
+  env.request = request;
+  env.segments = segments;
+  env.txn_seq = static_cast<std::uint32_t>(rec.send_seq);
 #if V_TRACE_ENABLED
   rec.send_started_at = domain_->now();
   rec.last_send_code = request.code();
@@ -87,7 +90,7 @@ sim::Co<msg::Message> Process::send(msg::Message request, ProcessId dest,
   // retransmitting to the first hop, whose duplicate table re-drives the
   // stored forward.
   if (domain_->fault_active()) {
-    domain_->arm_retransmit(env, dest, rec.send_seq);
+    domain_->arm_retransmit(rec, env, dest);
   }
 #endif
   domain_->deliver(host_id(), std::move(env), dest);
@@ -105,8 +108,11 @@ sim::Co<msg::Message> Process::send_to_group(msg::Message request,
   rec.exposed = segments;
   const auto seq = ++rec.send_seq;
 
-  Envelope proto{pid_, request, segments, {}, {}, {},
-                 static_cast<std::uint32_t>(seq), {}};
+  Envelope proto;
+  proto.sender = pid_;
+  proto.request = request;
+  proto.segments = segments;
+  proto.txn_seq = static_cast<std::uint32_t>(seq);
 #if V_TRACE_ENABLED
   rec.send_started_at = domain_->now();
   rec.last_send_code = request.code();
@@ -210,8 +216,7 @@ void Process::forward(const Envelope& env, ProcessId new_dest) {
 #endif
   // Copying env.name materializes it: the forwarded envelope carries an
   // OWNED copy of any fetched name bytes (the fetch-once attachment).
-  Envelope fwd{env.sender, env.request, env.segments, env.name, env.trace,
-               env.origin, env.txn_seq, env.addressed};
+  Envelope fwd = env;
 #if V_FAULT_ENABLED
   if (domain_->fault_active()) {
     domain_->note_forward(fwd, new_dest, /*group=*/0);
@@ -232,9 +237,7 @@ void Process::forward_to_group(const Envelope& env, GroupId group) {
 #endif
 #if V_FAULT_ENABLED
   if (domain_->fault_active()) {
-    Envelope noted{env.sender, env.request, env.segments, env.name,
-                   env.trace, env.origin, env.txn_seq, env.addressed};
-    domain_->note_forward(noted, ProcessId::invalid(), group);
+    domain_->note_forward(env, ProcessId::invalid(), group);
   }
 #endif
   std::size_t delivered = 0;
@@ -242,8 +245,7 @@ void Process::forward_to_group(const Envelope& env, GroupId group) {
   if (it != domain_->groups_.end()) {
     for (ProcessId member : it->second) {
       if (!domain_->process_alive(member)) continue;
-      Envelope fwd{env.sender, env.request, env.segments, env.name,
-                   env.trace, env.origin, env.txn_seq, env.addressed};
+      Envelope fwd = env;
       domain_->deliver(host_id(), std::move(fwd),
                        member, /*synth_on_dead=*/false);
       ++domain_->stats_.messages_sent;
@@ -872,21 +874,27 @@ void Domain::deliver_reply(HostId from_host, msg::Message reply,
   lint_.check_reply(reply, from.raw, to.raw,
                     static_cast<std::uint64_t>(loop_.now()));
   std::uint32_t answered_seq = 0;
+  bool original = false;
 #if V_FAULT_ENABLED
   if (fault_plan_ != nullptr) {
     // Close the transaction slot this reply answers, caching the reply so
     // duplicate requests replay it instead of re-executing.
-    answered_seq = record_served_reply(to, reply, hint, origin);
+    if (const detail::TxnState* txn =
+            record_served_reply(to, reply, hint, origin)) {
+      answered_seq = txn->seq;
+      original = txn->accepted_original;
+    }
   }
 #endif
-  send_reply_packet(from_host, reply, to, hint, origin, answered_seq);
+  send_reply_packet(from_host, reply, to, hint, origin, answered_seq,
+                    original);
 }
 
 V_HOT_PATH
 void Domain::send_reply_packet(HostId from_host, const msg::Message& reply,
                                ProcessId to, const BindingHint& hint,
                                const BindingHint& origin,
-                               std::uint32_t answered_seq) {
+                               std::uint32_t answered_seq, bool original) {
   const bool local = to.local_to(from_host);
   sim::SimDuration hop = params_.hop(local);
 #if V_FAULT_ENABLED
@@ -901,8 +909,8 @@ void Domain::send_reply_packet(HostId from_host, const msg::Message& reply,
 #endif
       loop_.schedule_after(
           hop + verdict.extra_delay + verdict.dup_delay,
-          [this, reply, to, hint, origin, answered_seq] {
-            arrive_reply(to, reply, hint, origin, answered_seq);
+          [this, reply, to, hint, origin, answered_seq, original] {
+            arrive_reply(to, reply, hint, origin, answered_seq, original);
           });
     }
     if (verdict.drop) {  // the client's retransmit re-earns the reply
@@ -916,21 +924,22 @@ void Domain::send_reply_packet(HostId from_host, const msg::Message& reply,
     hop += verdict.extra_delay;
   }
 #endif
-  loop_.schedule_after(hop, [this, reply, to, hint, origin, answered_seq] {
-    arrive_reply(to, reply, hint, origin, answered_seq);
+  loop_.schedule_after(hop, [this, reply, to, hint, origin, answered_seq,
+                             original] {
+    arrive_reply(to, reply, hint, origin, answered_seq, original);
   });
 }
 
 V_HOT_PATH
 void Domain::arrive_reply(ProcessId to, const msg::Message& reply,
                           const BindingHint& hint, const BindingHint& origin,
-                          std::uint32_t answered_seq) {
+                          std::uint32_t answered_seq, bool original) {
 #if V_FAULT_ENABLED
   auto* rec = find(to);
   if (rec != nullptr && rec->host != nullptr && rec->host->paused_) {
     rec->host->stash_.push_back([this, to, reply, hint, origin,
-                                 answered_seq] {
-      arrive_reply(to, reply, hint, origin, answered_seq);
+                                 answered_seq, original] {
+      arrive_reply(to, reply, hint, origin, answered_seq, original);
     });
     return;
   }
@@ -945,6 +954,18 @@ void Domain::arrive_reply(ProcessId to, const msg::Message& reply,
     }
     return;
   }
+  // Round-trip sample (Karn): only a reply produced for the client's
+  // original copy, and only for the send the retransmit timer is timing,
+  // measures one clean round trip.  Replays and replies to retransmitted
+  // copies would fold loss-recovery time into the timeout.
+  if (original && rec->alive && rec->awaiting_reply &&
+      rec->rtt_seq == answered_seq) {
+    rec->rtt[rec->rtt_first_hop.raw].add_sample(loop_.now() -
+                                                 rec->rtt_sent_at);
+  }
+#else
+  (void)answered_seq;
+  (void)original;
 #endif
   complete_reply(to, reply, hint, origin);
 }
@@ -1068,17 +1089,37 @@ void Domain::install_faults(fault::FaultPlan& plan) {
 #endif
 }
 
-void Domain::arm_retransmit(const Envelope& env, ProcessId dest,
-                            std::uint64_t seq) {
+detail::RttEstimate Domain::rtt_estimate(ProcessId sender,
+                                         ProcessId first_hop) const {
+  const auto* rec = find(sender);
+  if (rec == nullptr) return {};
+  const auto it = rec->rtt.find(first_hop.raw);
+  return it == rec->rtt.end() ? detail::RttEstimate{} : it->second;
+}
+
+void Domain::arm_retransmit(detail::ProcessRecord& sender,
+                            const Envelope& env, ProcessId dest) {
   const fault::RetryPolicy& policy = fault_plan_->retry();
-  schedule_retransmit(env, dest, seq, policy.initial_timeout, policy.budget);
+  // Time this send: its reply may become the next round-trip sample.
+  sender.rtt_sent_at = loop_.now();
+  sender.rtt_first_hop = dest;
+  sender.rtt_seq = env.txn_seq;
+  const auto it = sender.rtt.find(dest.raw);
+  const sim::SimDuration rto =
+      (it == sender.rtt.end() ? detail::RttEstimate{} : it->second)
+          .rto(policy.initial_timeout);
+  // A learned RTO above max_timeout raises the backoff cap with it, so
+  // backing off never retransmits sooner than the first timer did.
+  schedule_retransmit(env, dest, sender.send_seq, rto,
+                      std::max(policy.max_timeout, rto), policy.budget);
 }
 
 void Domain::schedule_retransmit(Envelope env, ProcessId dest,
                                  std::uint64_t seq, sim::SimDuration timeout,
+                                 sim::SimDuration cap,
                                  std::uint32_t remaining) {
   loop_.schedule_after(timeout, [this, env = std::move(env), dest, seq,
-                                 timeout, remaining]() mutable {
+                                 timeout, cap, remaining]() mutable {
     if (fault_plan_ == nullptr) return;
     auto* rec = find(env.sender);
     if (rec == nullptr || !rec->alive || !rec->awaiting_reply ||
@@ -1131,12 +1172,12 @@ void Domain::schedule_retransmit(Envelope env, ProcessId dest,
                    env.trace.sampled() ? 1 : 0);
 #endif
     Envelope copy = env;
+    copy.retransmitted = true;
     deliver(env.sender.logical_host(), std::move(copy), dest);
     const auto backed_off = static_cast<sim::SimDuration>(
         static_cast<double>(timeout) * fault_plan_->retry().backoff);
-    schedule_retransmit(std::move(env), dest, seq,
-                        std::min(backed_off, fault_plan_->retry().max_timeout),
-                        remaining - 1);
+    schedule_retransmit(std::move(env), dest, seq, std::min(backed_off, cap),
+                        cap, remaining - 1);
   });
 }
 
@@ -1152,6 +1193,7 @@ bool Domain::suppress_duplicate(detail::ProcessRecord& server,
     auto& txn = server.dup_table[env.sender.raw];
     txn = detail::TxnState{};
     txn.seq = env.txn_seq;
+    txn.accepted_original = !env.retransmitted;
     txn.presented = env.request;
     txn_holder_[env.sender.raw] = server.pid;
     return false;
@@ -1168,7 +1210,10 @@ bool Domain::suppress_duplicate(detail::ProcessRecord& server,
       // the stored forward; the next server's own suppression makes the
       // replay harmless if the hop did arrive.
       ++fs.forwards_replayed;
+      // The re-driven copy is a retransmission: a slot it opens downstream
+      // answers no original, so its reply is no round-trip sample.
       const HostId from_host = server.pid.logical_host();
+      txn.fwd_env.retransmitted = true;
       if (txn.fwd_group != 0) {
         auto git = groups_.find(txn.fwd_group);
         if (git != groups_.end()) {
@@ -1191,7 +1236,7 @@ bool Domain::suppress_duplicate(detail::ProcessRecord& server,
       // may have been the loss).  At-most-once: never re-execute.
       ++fs.cached_replies_replayed;
       send_reply_packet(server.pid.logical_host(), txn.reply, env.sender,
-                        txn.hint, txn.origin, txn.seq);
+                        txn.hint, txn.origin, txn.seq, /*original=*/false);
       return true;
   }
   return false;
@@ -1210,23 +1255,23 @@ void Domain::note_forward(const Envelope& env, ProcessId new_dest,
   txn.fwd_group = group;
 }
 
-std::uint32_t Domain::record_served_reply(ProcessId to,
-                                          const msg::Message& reply,
-                                          const BindingHint& hint,
-                                          const BindingHint& origin) {
+detail::TxnState* Domain::record_served_reply(ProcessId to,
+                                             const msg::Message& reply,
+                                             const BindingHint& hint,
+                                             const BindingHint& origin) {
   auto holder_it = txn_holder_.find(to.raw);
-  if (holder_it == txn_holder_.end()) return 0;
+  if (holder_it == txn_holder_.end()) return nullptr;
   auto* server = find(holder_it->second);
-  if (server == nullptr) return 0;
+  if (server == nullptr) return nullptr;
   auto it = server->dup_table.find(to.raw);
-  if (it == server->dup_table.end()) return 0;
+  if (it == server->dup_table.end()) return nullptr;
   detail::TxnState& txn = it->second;
   txn.phase = detail::TxnState::Phase::kReplied;
   txn.reply = reply;
   txn.hint = hint;
   txn.origin = origin;
   txn.fwd_env = Envelope{};  // release the stored forward
-  return txn.seq;
+  return &txn;
 }
 
 #endif  // V_FAULT_ENABLED

@@ -18,6 +18,7 @@
 // stated future-work mechanism).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -91,6 +92,15 @@ struct BindingHint {
 struct Envelope {
   ProcessId sender;      ///< who is blocked awaiting the reply
   msg::Message request;  ///< 32-byte request (mutable before Forward)
+#if V_FAULT_ENABLED
+  /// Set on every copy the transaction layer re-sends (client
+  /// retransmissions, re-driven forwards) and carried by Forward.  A
+  /// server slot opened by such a copy answers a retransmission, so its
+  /// reply yields no round-trip sample (PROTOCOL.md "Reliable
+  /// transactions").  Declared here, it fills the alignment gap before
+  /// `segments` instead of growing every envelope copy.
+  bool retransmitted = false;
+#endif
   Segments segments;     ///< the sender's exposed memory
   /// Fetch-once name attachment (name_span.hpp): empty until the first
   /// server fetches the request's name bytes, then carried by Forward so
@@ -146,6 +156,10 @@ struct TxnState {
 
   std::uint32_t seq = 0;  ///< Envelope::txn_seq this slot covers
   Phase phase = Phase::kPending;
+  /// The slot was opened by the client's original copy, not a
+  /// retransmitted one: its reply measures one clean round trip, and says
+  /// so to the sender (the echo beside `answered_seq`).
+  bool accepted_original = false;
   /// The request bytes this slot answered.  A retransmission is
   /// byte-identical; a same-txn arrival with DIFFERENT bytes is a new
   /// presentation (a forwarding server rewrote index/context before
@@ -162,6 +176,31 @@ struct TxnState {
   msg::Message reply;
   BindingHint hint;
   BindingHint origin;
+};
+
+/// A sender's round-trip estimate toward one first-hop pid (RFC 6298):
+/// smoothed RTT and its mean deviation, fed only by unambiguous samples.
+struct RttEstimate {
+  sim::SimDuration srtt = 0;
+  sim::SimDuration rttvar = 0;
+  std::uint32_t samples = 0;  ///< 0 = cold: the policy's initial timeout
+
+  /// Fold one measured round trip in (alpha = 1/8, beta = 1/4).
+  void add_sample(sim::SimDuration rtt) noexcept {
+    if (samples++ == 0) {
+      srtt = rtt;
+      rttvar = rtt / 2;
+      return;
+    }
+    const sim::SimDuration err = srtt > rtt ? srtt - rtt : rtt - srtt;
+    rttvar += (err - rttvar) / 4;
+    srtt += (rtt - srtt) / 8;
+  }
+  /// The first retransmission timeout: SRTT + K*RTTVAR with K = 4, never
+  /// below `floor` (the policy's initial timeout, used as-is when cold).
+  [[nodiscard]] sim::SimDuration rto(sim::SimDuration floor) const noexcept {
+    return samples == 0 ? floor : std::max(floor, srtt + 4 * rttvar);
+  }
 };
 #endif  // V_FAULT_ENABLED
 
@@ -211,6 +250,14 @@ struct ProcessRecord {
   /// Flat map: probed on every delivery under a fault plan, never erased
   /// per-entry (slots are overwritten per client, cleared on crash).
   FlatMap<std::uint32_t, TxnState> dup_table;
+  /// Client-side retransmission timer state: one round-trip estimate per
+  /// first-hop pid this process has sent to, plus the in-flight send's
+  /// start time and target.  Only `rtt_seq`'s reply may feed a sample, so
+  /// sends the transaction layer does not time (group sends) never do.
+  FlatMap<std::uint32_t, RttEstimate> rtt;
+  sim::SimTime rtt_sent_at = 0;
+  ProcessId rtt_first_hop;
+  std::uint32_t rtt_seq = 0;
 #endif
 
   std::optional<sim::Fiber> fiber;
@@ -594,6 +641,11 @@ class Domain {
     return fault_plan_ != nullptr;
   }
   [[nodiscard]] fault::FaultPlan* fault_plan() noexcept { return fault_plan_; }
+  /// What `sender` has learned about round trips to first hop `first_hop`
+  /// (all-zero while cold); its rto(initial_timeout) is the first
+  /// retransmission timeout the next Send there arms.
+  [[nodiscard]] detail::RttEstimate rtt_estimate(ProcessId sender,
+                                                 ProcessId first_hop) const;
 #else
   /// V_FAULT=OFF shell: installing a plan is legal and does nothing, so
   /// harness code need not be #if-gated.
@@ -680,16 +732,19 @@ class Domain {
   /// re-acquires a slot and lands through arrive_slot.
   void arrive(Envelope env, ProcessId dest, bool synth_on_dead);
   /// Put one reply packet on the wire toward `to`, applying fault verdicts.
-  /// `answered_seq` is the transaction the reply answers (0 = untracked).
+  /// `answered_seq` is the transaction the reply answers (0 = untracked);
+  /// `original` echoes whether the answering slot accepted the client's
+  /// original copy (TxnState::accepted_original) — false for replays.
   void send_reply_packet(HostId from_host, const msg::Message& reply,
                          ProcessId to, const BindingHint& hint,
                          const BindingHint& origin,
-                         std::uint32_t answered_seq);
+                         std::uint32_t answered_seq, bool original);
   /// A reply packet landing at the blocked sender's host: drops replies to
-  /// superseded transactions, stashes under pause, else completes.
+  /// superseded transactions, stashes under pause, takes a round-trip
+  /// sample when the reply answers an accepted original, else completes.
   void arrive_reply(ProcessId to, const msg::Message& reply,
                     const BindingHint& hint, const BindingHint& origin,
-                    std::uint32_t answered_seq);
+                    std::uint32_t answered_seq, bool original);
 
   void complete_reply(ProcessId to, const msg::Message& reply,
                       const BindingHint& hint = {},
@@ -699,11 +754,13 @@ class Domain {
 #if V_FAULT_ENABLED
   /// Client-side retransmission: re-deliver a copy of the send every
   /// (backed-off) timeout until the transaction closes or the budget is
-  /// exhausted, then surface kNoReply.
-  void arm_retransmit(const Envelope& env, ProcessId dest,
-                      std::uint64_t seq);
+  /// exhausted, then surface kNoReply.  The first timeout is the sender's
+  /// learned RTO toward `dest` (RttEstimate::rto).
+  void arm_retransmit(detail::ProcessRecord& sender, const Envelope& env,
+                      ProcessId dest);
   void schedule_retransmit(Envelope env, ProcessId dest, std::uint64_t seq,
-                           sim::SimDuration timeout, std::uint32_t remaining);
+                           sim::SimDuration timeout, sim::SimDuration cap,
+                           std::uint32_t remaining);
   /// Server-side at-most-once filter.  True = the envelope was a duplicate
   /// and has been fully handled (suppressed / forward re-driven / cached
   /// reply replayed); false = genuinely new, deliver it.
@@ -712,10 +769,11 @@ class Domain {
   /// so a duplicate of the original request re-drives the forward.
   void note_forward(const Envelope& env, ProcessId new_dest, GroupId group);
   /// Record a served reply in the transaction slot it answers.  Returns
-  /// that transaction's seq (0 when the reply closes no tracked slot).
-  std::uint32_t record_served_reply(ProcessId to, const msg::Message& reply,
-                                    const BindingHint& hint,
-                                    const BindingHint& origin);
+  /// that slot (nullptr when the reply closes no tracked slot).
+  detail::TxnState* record_served_reply(ProcessId to,
+                                        const msg::Message& reply,
+                                        const BindingHint& hint,
+                                        const BindingHint& origin);
 #endif
 
   CalibrationParams params_;

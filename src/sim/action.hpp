@@ -71,17 +71,19 @@ class InlineAction {
   /// Per-callable-type vtable: one static instance per instantiation.
   /// `relocate` moves the payload into a fresh buffer AND destroys the
   /// source (move + destroy fused: every move the scheduler does is a
-  /// relocation, never a reuse of the source).  `trivial_size` is nonzero
-  /// when the payload is trivially copyable AND trivially destructible:
-  /// the scheduler then relocates with an inline memcpy and skips the
-  /// destroy thunk entirely — two fewer indirect calls per event for the
-  /// hot kernel closures (wake and deliver both qualify: a coroutine
-  /// handle plus raw pointers and PODs).
+  /// relocation, never a reuse of the source).  `trivial` is set when the
+  /// payload is trivially copyable AND trivially destructible: the
+  /// scheduler then relocates with an inline memcpy of `trivial_size`
+  /// bytes and skips the destroy thunk entirely — two fewer indirect calls
+  /// per event for the hot kernel closures (wake and deliver both qualify:
+  /// a coroutine handle plus raw pointers and PODs).  A stateless callable
+  /// copies zero bytes: its one byte of storage is never written.
   struct Ops {
     void (*invoke)(void*);
     void (*relocate)(void* dst, void* src) noexcept;
     void (*destroy)(void*) noexcept;
     std::size_t trivial_size;
+    bool trivial;
     bool inline_storage;
   };
 
@@ -93,10 +95,9 @@ class InlineAction {
         static_cast<Fn*>(src)->~Fn();
       },
       [](void* p) noexcept { static_cast<Fn*>(p)->~Fn(); },
-      /*trivial_size=*/std::is_trivially_copyable_v<Fn> &&
-              std::is_trivially_destructible_v<Fn>
-          ? sizeof(Fn)
-          : 0,
+      /*trivial_size=*/std::is_empty_v<Fn> ? 0 : sizeof(Fn),
+      /*trivial=*/std::is_trivially_copyable_v<Fn> &&
+          std::is_trivially_destructible_v<Fn>,
       /*inline_storage=*/true,
   };
 
@@ -108,6 +109,7 @@ class InlineAction {
       },
       [](void* p) noexcept { delete *static_cast<Fn**>(p); },
       /*trivial_size=*/0,
+      /*trivial=*/false,
       /*inline_storage=*/false,
   };
 
@@ -129,7 +131,7 @@ class InlineAction {
   void move_from(InlineAction& other) noexcept {
     ops_ = other.ops_;
     if (ops_ != nullptr) {
-      if (ops_->trivial_size != 0) {
+      if (ops_->trivial) {
         std::memcpy(buf_, other.buf_, ops_->trivial_size);
       } else {
         ops_->relocate(buf_, other.buf_);
@@ -140,7 +142,7 @@ class InlineAction {
 
   void reset() noexcept {
     if (ops_ != nullptr) {
-      if (ops_->trivial_size == 0) ops_->destroy(buf_);
+      if (!ops_->trivial) ops_->destroy(buf_);
       ops_ = nullptr;
     }
   }

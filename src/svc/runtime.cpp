@@ -134,9 +134,10 @@ sim::Co<Result<Rt::OpenedFile>> Rt::open_resolved(std::string_view name,
     const SplitName split = split_dir_leaf(name);
     // The server's boundary may sit ON the separator our split strips.
     const std::size_t leaf_start = name.size() - split.leaf.size();
+    const std::size_t consumed = hint.consumed;
     const bool boundary_agrees =
-        hint.consumed == leaf_start ||
-        (hint.consumed + 1 == leaf_start && name[hint.consumed] == '/');
+        consumed == leaf_start ||
+        (consumed + 1 == leaf_start && name[consumed] == '/');
     if (hint.valid() && !split.dir.empty() && boundary_agrees) {
       cache_->put(split.dir,
                   NameCache::Binding{

@@ -4,12 +4,36 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <ostream>
 #include <utility>
 
+#include "ipc/calibration.hpp"
 #include "ipc/kernel.hpp"
 #include "sim/task.hpp"
 
 namespace v::test {
+
+/// A calibration preset with a display name, the parameter of tests that
+/// must hold for every calibration. PrintTo shows only the name, so the
+/// test names derived from the parameter are the same on every run (the
+/// default printer would embed the address of the name string).
+struct NamedCalibration {
+  const char* name;
+  ipc::CalibrationParams params;
+};
+
+inline void PrintTo(const NamedCalibration& c, std::ostream* os) {
+  *os << c.name;
+}
+
+/// The shipped presets, as a gtest parameter generator.
+inline auto calibration_presets() {
+  return ::testing::Values(
+      NamedCalibration{"sun-3mbit",
+                       ipc::CalibrationParams::SunWorkstation3Mbit()},
+      NamedCalibration{"slow-net-fast-cpu",
+                       ipc::CalibrationParams::SlowNetworkFastCpu()});
+}
 
 /// Spawn `body` as a client process on `host`, run the simulation to idle,
 /// and fail the test if any process died with an unexpected exception.

@@ -3,6 +3,7 @@
 // must satisfy for the simulation to be meaningful.
 #include <gtest/gtest.h>
 
+#include "harness.hpp"
 #include "ipc/calibration.hpp"
 #include "sim/time.hpp"
 
@@ -12,11 +13,10 @@ namespace {
 using sim::to_ms;
 
 class CalibrationInvariants
-    : public ::testing::TestWithParam<std::pair<const char*,
-                                                CalibrationParams>> {};
+    : public ::testing::TestWithParam<test::NamedCalibration> {};
 
 TEST_P(CalibrationInvariants, AllCostsPositive) {
-  const auto& p = GetParam().second;
+  const auto& p = GetParam().params;
   EXPECT_GT(p.local_hop, 0);
   EXPECT_GT(p.remote_hop, 0);
   EXPECT_GT(p.per_byte_remote, 0);
@@ -26,7 +26,7 @@ TEST_P(CalibrationInvariants, AllCostsPositive) {
 }
 
 TEST_P(CalibrationInvariants, RemoteCostsDominateLocal) {
-  const auto& p = GetParam().second;
+  const auto& p = GetParam().params;
   EXPECT_GT(p.remote_hop, p.local_hop);
   for (const std::size_t bytes : {64u, 512u, 4096u, 65536u}) {
     EXPECT_GT(p.move_from_cost(bytes, false), p.move_from_cost(bytes, true))
@@ -37,7 +37,7 @@ TEST_P(CalibrationInvariants, RemoteCostsDominateLocal) {
 }
 
 TEST_P(CalibrationInvariants, BulkCostsStrictlyMonotoneInSize) {
-  const auto& p = GetParam().second;
+  const auto& p = GetParam().params;
   for (const bool local : {true, false}) {
     sim::SimDuration previous = -1;
     for (const std::size_t bytes : {0u, 1u, 100u, 512u, 1024u, 8192u,
@@ -52,7 +52,7 @@ TEST_P(CalibrationInvariants, BulkCostsStrictlyMonotoneInSize) {
 TEST_P(CalibrationInvariants, BulkCostsApproximatelyLinear) {
   // Doubling the payload should at most double-ish the marginal cost:
   // cost(2n) - cost(n) is within 3x of cost(n) - cost(0) for large n.
-  const auto& p = GetParam().second;
+  const auto& p = GetParam().params;
   const auto c0 = p.move_to_cost(0, false);
   const auto c64 = p.move_to_cost(64 * 1024, false);
   const auto c128 = p.move_to_cost(128 * 1024, false);
@@ -61,12 +61,8 @@ TEST_P(CalibrationInvariants, BulkCostsApproximatelyLinear) {
   EXPECT_NEAR(second / first, 1.0, 0.05);  // linear beyond the setup cost
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Presets, CalibrationInvariants,
-    ::testing::Values(
-        std::pair{"sun-3mbit", CalibrationParams::SunWorkstation3Mbit()},
-        std::pair{"slow-net-fast-cpu",
-                  CalibrationParams::SlowNetworkFastCpu()}));
+INSTANTIATE_TEST_SUITE_P(Presets, CalibrationInvariants,
+                         test::calibration_presets());
 
 // --- fit points of the SUN preset (DESIGN.md calibration table) --------------
 

@@ -8,7 +8,9 @@
 // through the core Host API and run in every build flavour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <set>
 #include <string>
 
 #include "fault/fault.hpp"
@@ -198,6 +200,185 @@ TEST(FaultIpc, BudgetExhaustionSurfacesNoReply) {
   EXPECT_EQ(plan.stats().retransmits, 3u);
   EXPECT_EQ(plan.stats().budget_exhausted, 1u);
   EXPECT_EQ(elapsed, 44 * kMillisecond);
+}
+
+// --- adaptive retransmission timeout ----------------------------------------
+
+/// A server that holds every request `hold` of simulated time (queueing or
+/// slow service, as far as the client can tell) before replying.
+Co<void> holding_server(ipc::Process self, sim::SimDuration hold) {
+  for (;;) {
+    auto env = co_await self.receive();
+    co_await self.delay(hold);
+    msg::Message reply = env.request;
+    reply.set_reply_code(ReplyCode::kOk);
+    self.reply(reply, env.sender);
+  }
+}
+
+ipc::ProcessId spawn_holding(ipc::Host& host, sim::SimDuration hold) {
+  return host.spawn("holder", [hold](ipc::Process p) {
+    return holding_server(p, hold);
+  });
+}
+
+TEST(FaultRto, SlowServerIsLearnedAndNoLongerRetransmittedTo) {
+  ipc::Domain dom;
+  auto& ws1 = dom.add_host("ws1");
+  auto& ws2 = dom.add_host("ws2");
+  const ipc::ProcessId server = spawn_holding(ws2, 200 * kMillisecond);
+
+  fault::FaultPlan plan(0xFA008);  // no link faults: nothing is ever lost
+  dom.install_faults(plan);
+  const fault::RetryPolicy policy = plan.retry();
+
+  test::run_client(dom, ws1, [&, server](ipc::Process self) -> Co<void> {
+    // Cold: the policy's timer exactly.
+    EXPECT_EQ(dom.rtt_estimate(self.pid(), server).rto(policy.initial_timeout),
+              policy.initial_timeout);
+    const auto t0 = self.now();
+    auto reply = co_await self.send(msg::Message{}, server);
+    const sim::SimDuration rtt = self.now() - t0;
+    EXPECT_EQ(reply.reply_code(), ReplyCode::kOk);
+    // The first send retransmits on the cold schedule (10, 30, 70, 150 ms
+    // with the default policy): one copy per deadline the round trip
+    // outlasted, every one suppressed by the server still holding it.
+    std::uint64_t cold_copies = 0;
+    sim::SimDuration timeout = policy.initial_timeout;
+    for (sim::SimTime at = timeout; at < rtt; at += timeout) {
+      ++cold_copies;
+      timeout = std::min(static_cast<sim::SimDuration>(
+                             static_cast<double>(timeout) * policy.backoff),
+                         policy.max_timeout);
+    }
+    EXPECT_EQ(cold_copies, 4u);
+    EXPECT_EQ(plan.stats().retransmits, cold_copies);
+    EXPECT_EQ(plan.stats().dup_requests_suppressed, cold_copies);
+    // The reply answered the original copy: one clean sample, the whole
+    // round trip, and the timer now covers it.
+    const ipc::detail::RttEstimate est = dom.rtt_estimate(self.pid(), server);
+    EXPECT_EQ(est.samples, 1u);
+    EXPECT_EQ(est.srtt, rtt);
+    EXPECT_GT(est.rto(policy.initial_timeout), rtt);
+
+    for (int i = 0; i < 8; ++i) {
+      reply = co_await self.send(msg::Message{}, server);
+      EXPECT_EQ(reply.reply_code(), ReplyCode::kOk);
+    }
+    EXPECT_EQ(plan.stats().retransmits, cold_copies);
+    EXPECT_EQ(plan.stats().dup_requests_suppressed, cold_copies);
+    EXPECT_EQ(dom.rtt_estimate(self.pid(), server).samples, 9u);
+  });
+  EXPECT_EQ(plan.stats().budget_exhausted, 0u);
+}
+
+/// Relays every request to `next`, as a prefix server relays an open.
+Co<void> forwarding_server(ipc::Process self, ipc::ProcessId next) {
+  for (;;) {
+    auto env = co_await self.receive();
+    self.forward(env, next);
+  }
+}
+
+/// What a client's timer learned over `sends` Sends from ws1 to a server
+/// holding each request 20 ms — directly on ws2, or on ws3 behind a
+/// forwarder on ws2 — with every remote link dropping `drop` of its
+/// packets.
+struct TimerRun {
+  sim::SimDuration first_rtt = 0;  ///< elapsed time of the first Send
+  sim::SimDuration max_rto = 0;    ///< largest RTO the timer ever held
+  std::set<sim::SimDuration> srtts;  ///< every SRTT after a sample
+  std::uint32_t samples = 0;
+  fault::FaultStats stats;
+};
+
+TimerRun run_fixed_service(bool via_forwarder, double drop, int sends) {
+  ipc::Domain dom;
+  auto& ws1 = dom.add_host("ws1");
+  auto& ws2 = dom.add_host("ws2");
+  auto& ws3 = dom.add_host("ws3");
+  const ipc::ProcessId holder =
+      spawn_holding(via_forwarder ? ws3 : ws2, 20 * kMillisecond);
+  const ipc::ProcessId first_hop =
+      via_forwarder ? ws2.spawn("forwarder",
+                                [holder](ipc::Process p) {
+                                  return forwarding_server(p, holder);
+                                })
+                    : holder;
+  fault::FaultPlan plan(0xFA00A);
+  fault::LinkFaults lossy;
+  lossy.drop = drop;
+  plan.set_default_link(lossy);
+  dom.install_faults(plan);
+
+  TimerRun run;
+  test::run_client(dom, ws1, [&, first_hop](ipc::Process self) -> Co<void> {
+    for (int i = 0; i < sends; ++i) {
+      const auto t0 = self.now();
+      const auto reply = co_await self.send(msg::Message{}, first_hop);
+      if (i == 0) run.first_rtt = self.now() - t0;
+      if (reply.reply_code() != ReplyCode::kNoReply) {
+        EXPECT_EQ(reply.reply_code(), ReplyCode::kOk);
+      }
+      const ipc::detail::RttEstimate est =
+          dom.rtt_estimate(self.pid(), first_hop);
+      run.max_rto =
+          std::max(run.max_rto, est.rto(plan.retry().initial_timeout));
+      if (est.samples != 0) run.srtts.insert(est.srtt);
+      run.samples = est.samples;
+    }
+  });
+  run.stats = plan.stats();
+  return run;
+}
+
+TEST(FaultRto, LossRecoveryTimeNeverFeedsTheEstimate) {
+  // Fixed service: every clean round trip takes the same time, so only a
+  // sample that folded in loss recovery (a retransmission's wait) could
+  // move SRTT off it or push the learned RTO above 3x it.  Behind the
+  // forwarder, losses also hit the forwarded hop, whose recovery is a
+  // re-driven forward.
+  for (const bool via_forwarder : {false, true}) {
+    SCOPED_TRACE(via_forwarder ? "via forwarder" : "direct");
+    const sim::SimDuration clean_rtt =
+        run_fixed_service(via_forwarder, 0.0, 1).first_rtt;
+    ASSERT_GT(clean_rtt, 20 * kMillisecond);
+
+    const TimerRun lossy = run_fixed_service(via_forwarder, 0.2, 100);
+    EXPECT_GT(lossy.stats.drops, 0u);
+    EXPECT_GT(lossy.stats.retransmits, 0u);
+    if (via_forwarder) {
+      EXPECT_GT(lossy.stats.forwards_replayed, 0u);
+    }
+    // Transactions that lost a packet were recovered but not sampled.
+    EXPECT_GT(lossy.samples, 0u);
+    EXPECT_LT(lossy.samples, 100u);
+    EXPECT_EQ(lossy.srtts, std::set<sim::SimDuration>{clean_rtt});
+    EXPECT_LE(lossy.max_rto, 3 * clean_rtt);
+  }
+}
+
+TEST(FaultRto, CrashSweepNoReplyYieldsNoSample) {
+  ipc::Domain dom;
+  auto& ws1 = dom.add_host("ws1");
+  auto& ws2 = dom.add_host("ws2");
+  const ipc::ProcessId server = spawn_holding(ws2, 200 * kMillisecond);
+
+  fault::FaultPlan plan(0xFA00B);
+  plan.crash_at(50 * kMillisecond, ws2.id());
+  dom.install_faults(plan);
+
+  test::run_client(dom, ws1, [&, server](ipc::Process self) -> Co<void> {
+    const auto reply = co_await self.send(msg::Message{}, server);
+    EXPECT_EQ(reply.reply_code(), ReplyCode::kNoReply);
+    EXPECT_LT(self.now(), 200 * kMillisecond);  // the sweep, not the budget
+    EXPECT_EQ(dom.rtt_estimate(self.pid(), server).samples, 0u);
+    EXPECT_EQ(dom.rtt_estimate(self.pid(), server)
+                  .rto(plan.retry().initial_timeout),
+              plan.retry().initial_timeout);
+  });
+  EXPECT_EQ(plan.stats().crashes, 1u);
+  EXPECT_EQ(plan.stats().budget_exhausted, 0u);
 }
 
 TEST(FaultIpc, PausedHostDelaysButNeverLoses) {

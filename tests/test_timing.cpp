@@ -11,6 +11,7 @@
 // deliberately different calibration too.
 #include <gtest/gtest.h>
 
+#include "harness.hpp"
 #include "ipc/calibration.hpp"
 #include "naming/protocol.hpp"
 #include "servers/file_server.hpp"
@@ -109,27 +110,22 @@ TEST(OpenTiming, MatrixMatchesPaperOnSunCalibration) {
 
 // Structural claims must hold for ANY calibration.
 class OpenTimingStructure
-    : public ::testing::TestWithParam<std::pair<const char*,
-                                                CalibrationParams>> {};
+    : public ::testing::TestWithParam<test::NamedCalibration> {};
 
 TEST_P(OpenTimingStructure, PrefixDeltaIndependentOfTargetLocality) {
-  const auto m = measure_open_matrix(GetParam().second);
+  const auto m = measure_open_matrix(GetParam().params);
   // The prefix server is always local, so its cost contribution is the same
   // whether the final server is local or remote.
   EXPECT_NEAR(m.delta_local(), m.delta_remote(), 0.05)
-      << "calibration: " << GetParam().first;
+      << "calibration: " << GetParam().name;
   // Orderings the design implies.
   EXPECT_LT(m.direct_local_ms, m.direct_remote_ms);
   EXPECT_LT(m.direct_local_ms, m.prefix_local_ms);
   EXPECT_LT(m.direct_remote_ms, m.prefix_remote_ms);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Calibrations, OpenTimingStructure,
-    ::testing::Values(
-        std::pair{"sun-3mbit", CalibrationParams::SunWorkstation3Mbit()},
-        std::pair{"slow-net-fast-cpu",
-                  CalibrationParams::SlowNetworkFastCpu()}));
+INSTANTIATE_TEST_SUITE_P(Calibrations, OpenTimingStructure,
+                         test::calibration_presets());
 
 TEST(StreamTiming, SequentialPageReadNearSeventeenMs) {
   // E3: with a 15 ms/page disk and one-page read-ahead, the steady-state

@@ -33,12 +33,8 @@ Five rules, each with a seeded must-fail fixture under tools/vlint/fixtures/:
                       ReplyCode enumerator is decoded by to_string(); the
                       protocol lint's kMaxReplyCode tracks the enum.
 
-Engines: the primary engine is a self-contained C++ micro-parser (tokenizer,
-brace tree, per-function mini-CFG), so the pass runs on a GCC-only host.
-`--engine clang` selects a libclang (Python clang.cindex over
-compile_commands.json) backend and is gated on that module being installed;
-the annotations in src/common/annotate.hpp lower to [[clang::annotate]]
-exactly so that backend can find them in the AST.
+Engine: a self-contained C++ micro-parser (tokenizer, brace tree,
+per-function mini-CFG), so the pass runs on a GCC-only host.
 
 Suppressions: `// vlint: allow(<rule>): <reason>` on the finding's line or
 the line above.  A reason is mandatory.
@@ -1208,10 +1204,6 @@ def main(argv=None):
     ap.add_argument("--compdb",
                     help="compile_commands.json: restrict .cpp scanning to "
                          "its translation units")
-    ap.add_argument("--engine", choices=("textual", "clang"),
-                    default="textual",
-                    help="'clang' requires the Python clang.cindex module "
-                         "(libclang); 'textual' is self-contained")
     ap.add_argument("--fixture", metavar="DIR",
                     help="analyze one fixture directory instead of the tree")
     ap.add_argument("--check-fixtures", action="store_true",
@@ -1224,19 +1216,6 @@ def main(argv=None):
         for r in ALL_RULES:
             print(r)
         return 0
-
-    if args.engine == "clang":
-        try:
-            import clang.cindex  # noqa: F401
-        except ImportError:
-            print("vlint: --engine clang requires the Python clang.cindex "
-                  "module (libclang); it is not installed on this host. "
-                  "The textual engine implements the same rules: rerun "
-                  "with --engine textual.", file=sys.stderr)
-            return 2
-        print("vlint: the libclang backend is gated but not yet wired; "
-              "use --engine textual.", file=sys.stderr)
-        return 2
 
     here = os.path.dirname(os.path.abspath(__file__))
     if args.check_fixtures:
