@@ -14,10 +14,12 @@
 #                          # be clean, every seeded fixture must fail
 #   scripts/ci.sh fuzz     # 16-seed deterministic schedule-fuzz sweep
 #   scripts/ci.sh chk-off  # V_CHECKS=OFF: tests pass, chk symbols absent,
-#                          # bench numbers bit-identical to the baseline
+#                          # server-team and production-day (E14) reports
+#                          # bit-identical to the checked-in baselines
 #   scripts/ci.sh trace    # V-trace: run the trace example, validate the
 #                          # Chrome JSON, then prove the V_TRACE=OFF build
-#                          # has no obs symbols and identical bench numbers
+#                          # has no obs symbols and identical server-team
+#                          # and production-day (E14) reports
 #   scripts/ci.sh bench-smoke  # run every bench with --json and validate
 #                          # each report against the JsonReport schema
 #   scripts/ci.sh perf     # engine-throughput gate: bench_engine --json,
@@ -136,10 +138,15 @@ run_chk_off() {
   fi
   echo "==> chk-off bench regression check"
   # The sim is deterministic, so compiling the checks out must not change a
-  # single measured number: the report must be bit-identical to baseline.
+  # single measured number: the reports must be bit-identical to baseline.
+  # BENCH_scale.json is the production day, where the lint ledger and the
+  # fault slots are hottest.
   ./build-chk-off/bench/bench_server_team --json /tmp/bench_chk_off.json \
     >/dev/null
   diff BENCH_server_team.json /tmp/bench_chk_off.json
+  ./build-chk-off/bench/bench_scale --json /tmp/bench_scale_chk_off.json \
+    >/dev/null
+  diff BENCH_scale.json /tmp/bench_scale_chk_off.json
   echo "chk-off OK"
 }
 
@@ -166,6 +173,9 @@ run_trace() {
   ./build-trace-off/bench/bench_server_team --json /tmp/bench_trace_off.json \
     >/dev/null
   diff BENCH_server_team.json /tmp/bench_trace_off.json
+  ./build-trace-off/bench/bench_scale --json /tmp/bench_scale_trace_off.json \
+    >/dev/null
+  diff BENCH_scale.json /tmp/bench_scale_trace_off.json
   echo "trace OK"
 }
 

@@ -19,12 +19,12 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <functional>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #ifndef V_CHECKS_ENABLED
@@ -59,37 +59,46 @@ class Ledger {
     std::uint64_t holder_since = 0;
   };
 
-  void gate_acquired(const void* server, std::uint32_t ctx, std::string leaf,
-                     std::uint32_t pid, std::uint64_t now) {
+  /// Record `pid` as the (server, ctx, leaf) gate's holder.  A hand-off
+  /// to the next waiter overwrites the entry in place; only a gate's first
+  /// acquisition copies `leaf` into a new entry.
+  void gate_acquired(const void* server, std::uint32_t ctx,
+                     std::string_view leaf, std::uint32_t pid,
+                     std::uint64_t now) {
     ++acquisitions_;
-    holders_[Key{server, ctx, std::move(leaf)}] = Holder{pid, now};
+    const KeyView view{server, ctx, leaf};
+    if (const auto it = holders_.find(view); it != holders_.end()) {
+      it->second = Holder{pid, now};
+      return;
+    }
+    holders_.emplace(Key{server, ctx, std::string(leaf)}, Holder{pid, now});
   }
 
   void gate_released(const void* server, std::uint32_t ctx,
-                     const std::string& leaf) {
-    holders_.erase(Key{server, ctx, leaf});
+                     std::string_view leaf) {
+    if (const auto it = holders_.find(KeyView{server, ctx, leaf});
+        it != holders_.end()) {
+      holders_.erase(it);
+    }
   }
 
   /// Drop every gate record for `server` (a re-spawned server clears its
   /// gates_ map; holders from the previous incarnation are meaningless).
   void forget_server(const void* server) {
-    for (auto it = holders_.begin(); it != holders_.end();) {
-      if (std::get<0>(it->first) == server) {
-        it = holders_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    std::erase_if(holders_, [server](const auto& kv) {
+      return kv.first.server == server;
+    });
   }
 
   /// Verify that `pid` holds the (server, ctx, leaf) gate.  Returns the
   /// violation evidence when it does not; the caller composes the report
-  /// (it can map pids to names) and throws RaceError.
+  /// (it can map pids to names) and throws RaceError.  The lookup is by
+  /// view: checking a write builds no string.
   [[nodiscard]] std::optional<GateViolation> check_gated_write(
       const void* server, std::uint32_t ctx, std::string_view leaf,
       std::uint32_t pid) {
     ++writes_checked_;
-    const auto it = holders_.find(Key{server, ctx, std::string(leaf)});
+    const auto it = holders_.find(KeyView{server, ctx, leaf});
     if (it == holders_.end()) return GateViolation{};
     if (it->second.pid != pid) {
       return GateViolation{it->second.pid, it->second.since};
@@ -109,9 +118,40 @@ class Ledger {
     std::uint32_t pid = 0;
     std::uint64_t since = 0;
   };
-  using Key = std::tuple<const void*, std::uint32_t, std::string>;
+  struct KeyView {
+    const void* server;
+    std::uint32_t ctx;
+    std::string_view leaf;
+  };
+  struct Key {
+    const void* server;
+    std::uint32_t ctx;
+    std::string leaf;
+    operator KeyView() const noexcept { return {server, ctx, leaf}; }
+  };
+  /// Hash and equality over KeyView, which both key forms convert to
+  /// (heterogeneous lookup): a probe by view never materializes a Key.
+  struct KeyHash {
+    using is_transparent = void;
+    std::size_t operator()(KeyView k) const noexcept {
+      std::size_t h = std::hash<std::string_view>{}(k.leaf);
+      h ^= std::hash<const void*>{}(k.server) + 0x9e3779b97f4a7c15ULL +
+           (h << 6) + (h >> 2);
+      h ^= std::hash<std::uint32_t>{}(k.ctx) + 0x9e3779b97f4a7c15ULL +
+           (h << 6) + (h >> 2);
+      return h;
+    }
+  };
+  struct KeyEq {
+    using is_transparent = void;
+    bool operator()(KeyView a, KeyView b) const noexcept {
+      return a.server == b.server && a.ctx == b.ctx && a.leaf == b.leaf;
+    }
+  };
 
-  std::map<Key, Holder> holders_;
+  // Hashed, never iterated in an order that matters: forget_server only
+  // decides which entries die.
+  std::unordered_map<Key, Holder, KeyHash, KeyEq> holders_;
   std::uint64_t acquisitions_ = 0;
   std::uint64_t writes_checked_ = 0;
 };
@@ -191,10 +231,10 @@ class Ledger {
     std::uint32_t holder_pid = 0;
     std::uint64_t holder_since = 0;
   };
-  void gate_acquired(const void*, std::uint32_t, std::string,
+  void gate_acquired(const void*, std::uint32_t, std::string_view,
                      std::uint32_t, std::uint64_t) noexcept {}
   void gate_released(const void*, std::uint32_t,
-                     const std::string&) noexcept {}
+                     std::string_view) noexcept {}
   void forget_server(const void*) noexcept {}
   [[nodiscard]] std::optional<GateViolation> check_gated_write(
       const void*, std::uint32_t, std::string_view,

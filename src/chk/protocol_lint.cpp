@@ -108,13 +108,13 @@ void ProtocolLint::register_worker(std::uint32_t pid, std::string label,
 void ProtocolLint::forget(std::uint32_t pid) {
   servers_.erase(pid);
   workers_.erase(pid);
-  std::erase_if(outstanding_,
-                [pid](const auto& kv) { return kv.first.first == pid; });
+  outstanding_.erase_if(
+      [pid](const auto& kv) { return (kv.first >> 32) == pid; });
 }
 
 void ProtocolLint::settle(std::uint32_t server_pid,
                           std::uint32_t client_pid) {
-  auto it = outstanding_.find({server_pid, client_pid});
+  auto it = outstanding_.find(pair_key(server_pid, client_pid));
   if (it != outstanding_.end() && it->second > 0) --it->second;
 }
 
@@ -203,7 +203,7 @@ std::optional<ReplyCode> ProtocolLint::check_request_slow(
   // Duplicate-reply invariant (V-fault): the request is about to be
   // delivered, so the server owes this client exactly one settlement —
   // a reply, a forward, or deliberate probe silence.
-  ++outstanding_[{dest_pid, sender_pid}];
+  ++outstanding_[pair_key(dest_pid, sender_pid)];
   return std::nullopt;
 }
 
@@ -226,7 +226,7 @@ void ProtocolLint::check_reply_slow(const msg::Message& reply,
   // means the server answered the same request twice (or invented one) —
   // under duplicated/reordered requests that is exactly the at-most-once
   // property breaking.
-  auto out_it = outstanding_.find({canonical, to_pid});
+  auto out_it = outstanding_.find(pair_key(canonical, to_pid));
   if (out_it == outstanding_.end() || out_it->second == 0) {
     ++counters_.duplicate_replies;
     std::ostringstream dup;

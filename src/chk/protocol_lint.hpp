@@ -30,6 +30,7 @@
 #include <utility>
 
 #include "common/annotate.hpp"
+#include "common/flat_map.hpp"
 #include "common/reply_codes.hpp"
 #include "msg/message.hpp"
 
@@ -105,7 +106,7 @@ class ProtocolLint {
   /// Header-inline fast path: with no servers registered NOTHING is ever
   /// checked (check_request_slow's first move is a servers_ lookup that
   /// misses before any counter bumps), so workloads that never register a
-  /// lint server pay one branch per delivery instead of a map probe.
+  /// lint server pay one branch per delivery instead of a table probe.
   [[nodiscard]] V_HOT_PATH std::optional<v::ReplyCode> check_request(
       const msg::Message& request, std::uint32_t sender_pid,
       std::size_t read_segment_bytes, std::uint32_t dest_pid,
@@ -119,7 +120,7 @@ class ProtocolLint {
   /// or worker pids are checked; violations are counted and dumped but the
   /// reply is always delivered.  Same fast path as check_request: the slow
   /// body early-outs (before counting) unless `from` is a registered server
-  /// or worker, so an empty registry means a branch, not two map probes.
+  /// or worker, so an empty registry means a branch, not two table probes.
   V_HOT_PATH void check_reply(const msg::Message& reply, std::uint32_t from_pid,
                               std::uint32_t to_pid, std::uint64_t now) {
     if (servers_.empty() && workers_.empty()) return;
@@ -153,13 +154,23 @@ class ProtocolLint {
   void record_dump(std::string dump);
   void settle(std::uint32_t server_pid, std::uint32_t client_pid);
 
-  std::map<std::uint32_t, ServerInfo> servers_;
-  std::map<std::uint32_t, WorkerInfo> workers_;
-  /// (server receptionist pid, client pid) -> requests delivered but not
-  /// yet replied / forwarded / deliberately left unanswered.
-  std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint64_t>
-      outstanding_;
-  /// Highest generation floor registered per server label.
+  /// Ledger key: (server receptionist pid, client pid) packed server-high,
+  /// so forget() can match a server's entries on the upper half.
+  static std::uint64_t pair_key(std::uint32_t server_pid,
+                                std::uint32_t client_pid) noexcept {
+    return (std::uint64_t{server_pid} << 32) | client_pid;
+  }
+
+  // Every per-message lookup below is one open-addressing probe: the
+  // registry is consulted on each delivery and reply, the ledger on each
+  // checked request, reply and forward.
+  FlatMap<std::uint32_t, ServerInfo> servers_;
+  FlatMap<std::uint32_t, WorkerInfo> workers_;
+  /// pair_key(server, client) -> requests delivered but not yet replied /
+  /// forwarded / deliberately left unanswered.
+  FlatMap<std::uint64_t, std::uint64_t> outstanding_;
+  /// Highest generation floor registered per server label (registration
+  /// only, never per message).
   std::map<std::string, std::uint32_t> incarnation_floor_;
   Counters counters_;
   std::string first_dump_;

@@ -13,9 +13,10 @@
 //   - per-entry erase uses tombstones: probes walk through them, inserts
 //     reuse the first one passed, and any rehash (growth or a same-capacity
 //     compaction once deleted slots crowd the table) purges them all,
-//   - no iteration (nothing in the kernel walks these tables, which is also
-//     what makes the container swap invisible to deterministic runs — there
-//     is no container order to leak into event order),
+//   - no ordered iteration: the one walk, erase_if, visits slots in hash
+//     order and only decides which entries die, so no container order can
+//     leak into event order (which is what makes the container swap
+//     invisible to deterministic runs),
 //   - keys must convert to uint64_t (integers and scoped enums).
 #pragma once
 
@@ -40,6 +41,8 @@ class FlatMap {
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  /// Slots allocated (live + tombstoned + empty); a power of two or zero.
+  [[nodiscard]] std::size_t capacity() const noexcept { return slots_.size(); }
 
   /// Sentinel returned by find() on miss; compare with `it == end()` just
   /// like the node-based maps this replaces.
@@ -60,7 +63,12 @@ class FlatMap {
   /// Insert-or-find, like std::map::operator[]: default-constructs the
   /// value on first access.  A new key reuses the first tombstone passed on
   /// its probe path, so erase/insert churn does not stretch probes forever.
-  Value& operator[](const Key& key) {
+  Value& operator[](const Key& key) { return try_emplace(key).first->second; }
+
+  /// Insert-or-find in one probe, like std::map::try_emplace(key): the bool
+  /// is true when `key` was absent and its value was just default-
+  /// constructed.
+  std::pair<iterator, bool> try_emplace(const Key& key) {
     if (size_ + tombs_ + 1 > (capacity() * 7) / 8) grow();
     std::size_t tomb = kNoSlot;
     for (std::size_t i = index_of(key);; i = (i + 1) & mask()) {
@@ -72,13 +80,13 @@ class FlatMap {
         states_[i] = kFull;
         ++size_;
         slots_[i].first = key;
-        return slots_[i].second;
+        return {&slots_[i], true};
       }
       if (states_[i] == kTomb) {
         if (tomb == kNoSlot) tomb = i;
         continue;
       }
-      if (slots_[i].first == key) return slots_[i].second;
+      if (slots_[i].first == key) return {&slots_[i], false};
     }
   }
 
@@ -96,6 +104,22 @@ class FlatMap {
         return 1;
       }
     }
+  }
+
+  /// Erase every entry for which `pred(slot)` holds (each becomes a
+  /// tombstone, as with erase).  Returns entries removed.
+  template <typename Pred>
+  std::size_t erase_if(Pred pred) {
+    std::size_t removed = 0;
+    for (std::size_t i = 0; i < states_.size(); ++i) {
+      if (states_[i] != kFull || !pred(std::as_const(slots_[i]))) continue;
+      slots_[i] = Slot{};
+      states_[i] = kTomb;
+      --size_;
+      ++tombs_;
+      ++removed;
+    }
+    return removed;
   }
 
   /// Drop all entries, keeping capacity (crash-path wholesale reset).
@@ -122,7 +146,6 @@ class FlatMap {
   static constexpr std::uint8_t kFull = 1;
   static constexpr std::uint8_t kTomb = 2;
 
-  [[nodiscard]] std::size_t capacity() const noexcept { return slots_.size(); }
   [[nodiscard]] std::size_t mask() const noexcept { return capacity() - 1; }
 
   /// splitmix64 finalizer — scrambles low-entropy keys (sequential service

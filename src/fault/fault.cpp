@@ -12,7 +12,7 @@ void FaultPlan::set_default_link(const LinkFaults& faults) {
 
 void FaultPlan::set_link(std::uint16_t from, std::uint16_t to,
                          const LinkFaults& faults) {
-  links_[{from, to}] = faults;
+  links_[link_key(from, to)] = faults;
 }
 
 void FaultPlan::set_retry(const RetryPolicy& policy) { retry_ = policy; }
@@ -39,7 +39,7 @@ void FaultPlan::resume_at(sim::SimTime at, std::uint16_t host,
 
 const LinkFaults& FaultPlan::link(std::uint16_t from,
                                   std::uint16_t to) const {
-  auto it = links_.find({from, to});
+  auto it = links_.find(link_key(from, to));
   return it != links_.end() ? it->second : default_link_;
 }
 

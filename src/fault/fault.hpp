@@ -22,10 +22,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <utility>
 #include <vector>
 
+#include "common/flat_map.hpp"
 #include "sim/random.hpp"
 #include "sim/time.hpp"
 
@@ -142,10 +142,14 @@ class FaultPlan {
  private:
   [[nodiscard]] const LinkFaults& link(std::uint16_t from,
                                        std::uint16_t to) const;
+  static std::uint32_t link_key(std::uint16_t from, std::uint16_t to) noexcept {
+    return (std::uint32_t{from} << 16) | to;
+  }
 
   sim::Rng rng_;
   LinkFaults default_link_;
-  std::map<std::pair<std::uint16_t, std::uint16_t>, LinkFaults> links_;
+  /// Per-link overrides keyed (from << 16) | to, probed once per packet.
+  FlatMap<std::uint32_t, LinkFaults> links_;
   RetryPolicy retry_;
   std::vector<HostEvent> events_;
   FaultStats stats_;

@@ -90,7 +90,9 @@ sim::Co<msg::Message> Process::send(msg::Message request, ProcessId dest,
   // retransmitting to the first hop, whose duplicate table re-drives the
   // stored forward.
   if (domain_->fault_active()) {
-    domain_->arm_retransmit(rec, env, dest);
+    rec.rtx_request = request;
+    rec.rtx_trace = env.trace;
+    domain_->arm_retransmit(rec, dest);
   }
 #endif
   domain_->deliver(host_id(), std::move(env), dest);
@@ -1097,31 +1099,31 @@ detail::RttEstimate Domain::rtt_estimate(ProcessId sender,
   return it == rec->rtt.end() ? detail::RttEstimate{} : it->second;
 }
 
-void Domain::arm_retransmit(detail::ProcessRecord& sender,
-                            const Envelope& env, ProcessId dest) {
+void Domain::arm_retransmit(detail::ProcessRecord& sender, ProcessId dest) {
   const fault::RetryPolicy& policy = fault_plan_->retry();
   // Time this send: its reply may become the next round-trip sample.
   sender.rtt_sent_at = loop_.now();
   sender.rtt_first_hop = dest;
-  sender.rtt_seq = env.txn_seq;
+  sender.rtt_seq = static_cast<std::uint32_t>(sender.send_seq);
   const auto it = sender.rtt.find(dest.raw);
   const sim::SimDuration rto =
       (it == sender.rtt.end() ? detail::RttEstimate{} : it->second)
           .rto(policy.initial_timeout);
   // A learned RTO above max_timeout raises the backoff cap with it, so
   // backing off never retransmits sooner than the first timer did.
-  schedule_retransmit(env, dest, sender.send_seq, rto,
+  schedule_retransmit(sender.pid, dest, sender.send_seq, rto,
                       std::max(policy.max_timeout, rto), policy.budget);
 }
 
-void Domain::schedule_retransmit(Envelope env, ProcessId dest,
+void Domain::schedule_retransmit(ProcessId sender, ProcessId dest,
                                  std::uint64_t seq, sim::SimDuration timeout,
                                  sim::SimDuration cap,
                                  std::uint32_t remaining) {
-  loop_.schedule_after(timeout, [this, env = std::move(env), dest, seq,
-                                 timeout, cap, remaining]() mutable {
+  // Ids only: the capture stays inside the event loop's inline buffer.
+  loop_.schedule_after(timeout, [this, sender, dest, seq, timeout, cap,
+                                 remaining] {
     if (fault_plan_ == nullptr) return;
-    auto* rec = find(env.sender);
+    auto* rec = find(sender);
     if (rec == nullptr || !rec->alive || !rec->awaiting_reply ||
         rec->send_seq != seq) {
       return;  // transaction closed (answered, or the sender died)
@@ -1130,75 +1132,85 @@ void Domain::schedule_retransmit(Envelope env, ProcessId dest,
       // Budget exhausted: only now does the transport admit defeat.
       ++fault_plan_->stats().budget_exhausted;
 #if V_TRACE_ENABLED
-      flight_.record(env.sender.logical_host(),
+      flight_.record(sender.logical_host(),
                      obs::FlightKind::kBudgetExhausted, loop_.now(),
-                     env.sender.raw, dest.raw, env.request.code(), 0,
-                     env.trace.sampled() ? 1 : 0);
+                     sender.raw, dest.raw, rec->rtx_request.code(), 0,
+                     rec->rtx_trace.sampled() ? 1 : 0);
       flight_.trigger(obs::kDumpRetryExhausted, loop_.now());
 #endif
-      complete_reply(env.sender, msg::make_reply(ReplyCode::kNoReply));
+      complete_reply(sender, msg::make_reply(ReplyCode::kNoReply));
       return;
     }
     ++fault_plan_->stats().retransmits;
     ++stats_.messages_sent;
     ++stats_.remote_messages;
 #if V_TRACE_ENABLED
-    if (tracer_.active() && env.trace.trace_id == 0) {
+    obs::TraceContext& trace = rec->rtx_trace;
+    if (tracer_.active() && trace.trace_id == 0) {
       // Late promotion: a transaction that needed a retransmit is exactly
       // the kind head sampling should not have skipped.  Open its root
       // span now — hops already taken are gone (head sampling cannot
       // resurrect them), but every hop from this retransmit on is traced.
-      env.trace.set_sampled();
-      env.trace.trace_id = tracer_.begin_trace();
+      trace.set_sampled();
+      trace.trace_id = tracer_.begin_trace();
       const std::uint32_t root = tracer_.begin_span(
-          env.trace.trace_id, 0,
+          trace.trace_id, 0,
           std::string("send ")
-              .append(obs::opcode_label(env.request.code()))
+              .append(obs::opcode_label(rec->rtx_request.code()))
               .append(" (promoted)"),
-          "send", env.sender.raw, loop_.now());
-      tracer_.note_send(env.sender.raw, root);
-      env.trace.parent_span = root;
+          "send", sender.raw, loop_.now());
+      tracer_.note_send(sender.raw, root);
+      trace.parent_span = root;
     }
-    if (tracer_.active() && env.trace.trace_id != 0) {
+    if (tracer_.active() && trace.trace_id != 0) {
       const std::uint32_t span =
-          tracer_.begin_span(env.trace.trace_id, env.trace.parent_span,
-                             "retransmit", "mark", env.sender.raw,
-                             loop_.now());
+          tracer_.begin_span(trace.trace_id, trace.parent_span, "retransmit",
+                             "mark", sender.raw, loop_.now());
       tracer_.end_span(span, loop_.now());
     }
-    flight_.record(env.sender.logical_host(), obs::FlightKind::kRetransmit,
-                   loop_.now(), env.sender.raw, dest.raw,
-                   env.request.code(), remaining,
-                   env.trace.sampled() ? 1 : 0);
+    flight_.record(sender.logical_host(), obs::FlightKind::kRetransmit,
+                   loop_.now(), sender.raw, dest.raw,
+                   rec->rtx_request.code(), remaining,
+                   trace.sampled() ? 1 : 0);
 #endif
-    Envelope copy = env;
+    // The copy Send would have made, marked as a retransmission.
+    Envelope copy;
+    copy.sender = sender;
+    copy.request = rec->rtx_request;
     copy.retransmitted = true;
-    deliver(env.sender.logical_host(), std::move(copy), dest);
+    copy.segments = rec->exposed;
+    copy.trace = rec->rtx_trace;
+    copy.txn_seq = static_cast<std::uint32_t>(seq);
+    deliver(sender.logical_host(), std::move(copy), dest);
     const auto backed_off = static_cast<sim::SimDuration>(
         static_cast<double>(timeout) * fault_plan_->retry().backoff);
-    schedule_retransmit(std::move(env), dest, seq, std::min(backed_off, cap),
-                        cap, remaining - 1);
+    schedule_retransmit(sender, dest, seq, std::min(backed_off, cap), cap,
+                        remaining - 1);
   });
 }
 
 bool Domain::suppress_duplicate(detail::ProcessRecord& server,
                                 const Envelope& env) {
-  auto it = server.dup_table.find(env.sender.raw);
-  if (it == server.dup_table.end() || it->second.seq != env.txn_seq ||
-      !(it->second.presented == env.request)) {
+  auto [it, fresh] = server.dup_table.try_emplace(env.sender.raw);
+  if (fresh) {
+    it->second = std::make_unique<detail::TxnState>();  // first contact
+  }
+  detail::TxnState& txn = *it->second;
+  if (fresh || txn.seq != env.txn_seq || !(txn.presented == env.request)) {
     // A new transaction from this client — or the SAME transaction
     // presented with different request bytes (a forwarding server rewrote
-    // index/context en route; not a retransmission).  Open or recycle the
-    // slot and let the server process it.
-    auto& txn = server.dup_table[env.sender.raw];
-    txn = detail::TxnState{};
+    // index/context en route; not a retransmission).  Recycle the slot in
+    // place and let the server process it.  Fields the new phase has not
+    // written yet are never read (fwd_* only in kForwarded, reply/hint/
+    // origin only in kReplied); a stored forward's name is released.
     txn.seq = env.txn_seq;
+    txn.phase = detail::TxnState::Phase::kPending;
     txn.accepted_original = !env.retransmitted;
     txn.presented = env.request;
-    txn_holder_[env.sender.raw] = server.pid;
+    txn.fwd_env.name.reset();
+    txn_holder_[env.sender.raw] = &txn;
     return false;
   }
-  detail::TxnState& txn = it->second;
   auto& fs = fault_plan_->stats();
   switch (txn.phase) {
     case detail::TxnState::Phase::kPending:
@@ -1247,8 +1259,8 @@ void Domain::note_forward(const Envelope& env, ProcessId new_dest,
   auto* holder = find(env.addressed);
   if (holder == nullptr) return;
   auto it = holder->dup_table.find(env.sender.raw);
-  if (it == holder->dup_table.end() || it->second.seq != env.txn_seq) return;
-  detail::TxnState& txn = it->second;
+  if (it == holder->dup_table.end() || it->second->seq != env.txn_seq) return;
+  detail::TxnState& txn = *it->second;
   txn.phase = detail::TxnState::Phase::kForwarded;
   txn.fwd_env = env;
   txn.fwd_dest = new_dest;
@@ -1259,18 +1271,14 @@ detail::TxnState* Domain::record_served_reply(ProcessId to,
                                              const msg::Message& reply,
                                              const BindingHint& hint,
                                              const BindingHint& origin) {
-  auto holder_it = txn_holder_.find(to.raw);
-  if (holder_it == txn_holder_.end()) return nullptr;
-  auto* server = find(holder_it->second);
-  if (server == nullptr) return nullptr;
-  auto it = server->dup_table.find(to.raw);
-  if (it == server->dup_table.end()) return nullptr;
-  detail::TxnState& txn = it->second;
+  const auto it = txn_holder_.find(to.raw);
+  if (it == txn_holder_.end()) return nullptr;
+  detail::TxnState& txn = *it->second;
   txn.phase = detail::TxnState::Phase::kReplied;
   txn.reply = reply;
   txn.hint = hint;
   txn.origin = origin;
-  txn.fwd_env = Envelope{};  // release the stored forward
+  txn.fwd_env.name.reset();  // release the stored forward's name bytes
   return &txn;
 }
 

@@ -248,8 +248,9 @@ struct ProcessRecord {
   /// Server-side duplicate suppression: one transaction slot per client
   /// pid (see TxnState).  Only populated while a FaultPlan is installed.
   /// Flat map: probed on every delivery under a fault plan, never erased
-  /// per-entry (slots are overwritten per client, cleared on crash).
-  FlatMap<std::uint32_t, TxnState> dup_table;
+  /// (a slot is recycled in place by the client's next transaction).  Each
+  /// slot lives at a fixed address, so Domain::txn_holder_ can point at it.
+  FlatMap<std::uint32_t, std::unique_ptr<TxnState>> dup_table;
   /// Client-side retransmission timer state: one round-trip estimate per
   /// first-hop pid this process has sent to, plus the in-flight send's
   /// start time and target.  Only `rtt_seq`'s reply may feed a sample, so
@@ -258,6 +259,11 @@ struct ProcessRecord {
   sim::SimTime rtt_sent_at = 0;
   ProcessId rtt_first_hop;
   std::uint32_t rtt_seq = 0;
+  /// The in-flight send's request and trace state.  The retransmission
+  /// timer rebuilds each copy from these plus `exposed` and `send_seq`,
+  /// so its closure carries ids instead of a whole Envelope.
+  msg::Message rtx_request;
+  obs::TraceContext rtx_trace;
 #endif
 
   std::optional<sim::Fiber> fiber;
@@ -756,11 +762,13 @@ class Domain {
   /// (backed-off) timeout until the transaction closes or the budget is
   /// exhausted, then surface kNoReply.  The first timeout is the sender's
   /// learned RTO toward `dest` (RttEstimate::rto).
-  void arm_retransmit(detail::ProcessRecord& sender, const Envelope& env,
-                      ProcessId dest);
-  void schedule_retransmit(Envelope env, ProcessId dest, std::uint64_t seq,
-                           sim::SimDuration timeout, sim::SimDuration cap,
-                           std::uint32_t remaining);
+  void arm_retransmit(detail::ProcessRecord& sender, ProcessId dest);
+  /// One timer of `sender`'s transaction `seq`: when it fires with the
+  /// transaction still open, re-send a copy rebuilt from the sender's
+  /// record (ProcessRecord::rtx_request) and re-arm, backed off.
+  void schedule_retransmit(ProcessId sender, ProcessId dest,
+                           std::uint64_t seq, sim::SimDuration timeout,
+                           sim::SimDuration cap, std::uint32_t remaining);
   /// Server-side at-most-once filter.  True = the envelope was a duplicate
   /// and has been fully handled (suppressed / forward re-driven / cached
   /// reply replayed); false = genuinely new, deliver it.
@@ -818,11 +826,11 @@ class Domain {
 #endif
 #if V_FAULT_ENABLED
   fault::FaultPlan* fault_plan_ = nullptr;
-  /// client pid -> server record currently holding its transaction slot
+  /// client pid -> its transaction slot at the server currently holding it
   /// (the last server a request of that client was delivered to), so the
-  /// reply path can find the slot without plumbing envelopes through
-  /// server code.
-  FlatMap<std::uint32_t, ProcessId> txn_holder_;
+  /// reply path finds the slot in one probe without plumbing envelopes
+  /// through server code.  Slots never move or die (see dup_table).
+  FlatMap<std::uint32_t, detail::TxnState*> txn_holder_;
   bool fault_metrics_registered_ = false;
 #endif
 };

@@ -135,6 +135,7 @@ class HopTrace {
 sim::Co<void> CsnhServer::run(ipc::Process self) {
   pid_ = self.pid();
   metrics_scope_ = self.domain().process_name(pid_);
+  ++incarnation_;  // every CounterHandle re-resolves on its next bump
 #if V_TRACE_ENABLED
   // Metric handles are per-incarnation: the scope name (or the domain the
   // server object runs in) may differ from the previous run, so every
@@ -283,12 +284,11 @@ std::uint64_t CsnhServer::GateLock::key_hash() const noexcept {
   return h;
 }
 
-void CsnhServer::GateLock::note_acquired() const {
+void CsnhServer::GateLock::note_acquired([[maybe_unused]] Gate& gate) const {
   domain_.checks().gate_acquired(
       &server_, key_.first, key_.second, pid_.raw,
       static_cast<std::uint64_t>(domain_.loop().now()));
 #if V_TRACE_ENABLED
-  Gate& gate = server_.gates_[key_];
   gate.held_since = domain_.loop().now();
   domain_.flight().record(pid_.logical_host(), obs::FlightKind::kGateAcquire,
                           gate.held_since, pid_.raw, 0, 0, key_hash());
@@ -300,7 +300,7 @@ bool CsnhServer::GateLock::await_ready() {
   if (!gate.held) {
     gate.held = true;
     acquired_ = true;
-    note_acquired();
+    note_acquired(gate);
     return true;  // uncontended: acquire without suspending
   }
   return false;
@@ -317,6 +317,9 @@ void CsnhServer::GateLock::await_resume() const {
 }
 
 CsnhServer::GateLock::~GateLock() {
+  // A lock that never awaited (read-only dispatch) touched no gate: a live
+  // gate is always held, so there is nothing to unlink or retire.
+  if (!acquired_ && !queued_) return;
   auto it = server_.gates_.find(key_);
   if (it == server_.gates_.end()) return;  // gates_ cleared by a re-run
   Gate& gate = it->second;
@@ -352,7 +355,7 @@ CsnhServer::GateLock::~GateLock() {
     next->queued_ = false;
     next->acquired_ = true;  // ownership transfers even if killed: its
                              // resume throws and ITS destructor re-releases
-    next->note_acquired();   // ledger: holder changes hands, no gap
+    next->note_acquired(gate);  // ledger: holder changes hands, no gap
     domain_.loop().schedule_after(0, [h = next->handle_, f = next->fiber_] {
       sim::FiberRunScope scope(f);
       h.resume();
@@ -409,7 +412,7 @@ sim::Co<void> CsnhServer::dispatch(ipc::Process& self, ipc::Envelope env) {
     // Group-member silence for misc ops: another member of the service
     // group is the designated responder.  Settle the lint ledger so the
     // unanswered request reads as deliberate, not as a leak.
-    metric_inc(self, "custom_mute");
+    metric_inc(self, m_custom_mute_);
     self.domain().lint().note_unanswered(pid_.raw, env.sender.raw);
     co_return;
   }
@@ -425,7 +428,7 @@ void CsnhServer::reply_csname(ipc::Process& self, const ipc::Envelope& env,
     // probe; an error reply from us would win the first-reply race and
     // mask it.  Settle the lint ledger so the dropped reply is deliberate,
     // not a leak.
-    metric_inc(self, "probe_drops");
+    metric_inc(self, m_probe_drops_);
     self.domain().lint().note_unanswered(pid_.raw, env.sender.raw);
     return;
   }
@@ -1119,13 +1122,18 @@ obs::Counter& CsnhServer::req_counter(ipc::Process& self,
 }
 #endif
 
-void CsnhServer::metric_inc(ipc::Process& self, std::string_view name,
+void CsnhServer::metric_inc(ipc::Process& self, CounterHandle& counter,
                             std::uint64_t n) {
 #if V_TRACE_ENABLED
-  self.domain().metrics().counter(metrics_scope_, name).inc(n);
+  if (counter.incarnation_ != incarnation_) {
+    counter.counter_ =
+        &self.domain().metrics().counter(metrics_scope_, counter.name_);
+    counter.incarnation_ = incarnation_;
+  }
+  counter.counter_->inc(n);
 #else
   (void)self;
-  (void)name;
+  (void)counter;
   (void)n;
 #endif
 }

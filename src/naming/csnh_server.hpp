@@ -26,11 +26,12 @@
 #include <coroutine>
 #include <cstdint>
 #include <deque>
-#include <map>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -341,10 +342,28 @@ class CsnhServer {
   /// extra context affected, while still holding the mutation gate.
   void bump_generation(ipc::Process& self, ContextId ctx);
 
+  /// A named counter under this server's registry scope, resolved to its
+  /// registry entry on first use in each incarnation (the same lazy moment
+  /// a string-keyed lookup would create it), so every later bump is one
+  /// pointer increment.  Servers keep one per counter they bump.
+  class CounterHandle {
+   public:
+    explicit constexpr CounterHandle(std::string_view name) noexcept
+        : name_(name) {}
+
+   private:
+    friend class CsnhServer;
+    std::string_view name_;
+#if V_TRACE_ENABLED
+    obs::Counter* counter_ = nullptr;
+    std::uint64_t incarnation_ = 0;  ///< run() count it was resolved in
+#endif
+  };
+
   /// V-trace metric helpers: count/measure under this server's registry
   /// scope (its process name).  Declared unconditionally so subclasses call
   /// them unguarded; the bodies compile to nothing with V_TRACE=OFF.
-  void metric_inc(ipc::Process& self, std::string_view name,
+  void metric_inc(ipc::Process& self, CounterHandle& counter,
                   std::uint64_t n = 1);
   void metric_gauge(ipc::Process& self, std::string_view name,
                     std::int64_t value);
@@ -371,6 +390,13 @@ class CsnhServer {
   // seed).  Read-only operations never touch a gate and run fully parallel.
 
   using GateKey = std::pair<ContextId, std::string>;
+  struct GateKeyHash {
+    std::size_t operator()(const GateKey& key) const noexcept {
+      const std::size_t h = std::hash<std::string>{}(key.second);
+      return h ^ (std::hash<ContextId>{}(key.first) + 0x9e3779b97f4a7c15ULL +
+                  (h << 6) + (h >> 2));
+    }
+  };
   struct GateLock;
   struct Gate {
     bool held = false;
@@ -399,8 +425,9 @@ class CsnhServer {
     void await_suspend(std::coroutine_handle<> h);
     void await_resume() const;
 
-    /// Record this lock's process as the gate holder in the ledger.
-    void note_acquired() const;
+    /// Record this lock's process as the holder of `gate` (its own gate)
+    /// in the ledger.
+    void note_acquired(Gate& gate) const;
 
     /// Stable hash of the (ctx, leaf) key — the flight recorder's gate
     /// identity (FNV-1a, so dumps are identical across hosts/builds).
@@ -469,7 +496,7 @@ class CsnhServer {
   /// incarnation sit at gen_floor_.  Cleared on (re)start: a fresh floor
   /// from the domain sequence makes every previously-cached generation
   /// mismatch, which is what defeats the paper-§2.2 impostor aliasing.
-  std::map<ContextId, std::uint32_t> generations_;
+  FlatMap<ContextId, std::uint32_t> generations_;
   std::uint32_t gen_floor_ = 0;
 
   // --- team state ------------------------------------------------------------
@@ -480,8 +507,12 @@ class CsnhServer {
   chk::SharedCell<std::deque<ipc::Envelope>> work_queue_{"team.work_queue"};
   sim::WaitQueue work_ready_;             ///< idle workers park here
   std::uint64_t sheds_ = 0;
-  std::map<GateKey, Gate> gates_;
+  /// Live gates only (held, or with waiters); never iterated.
+  std::unordered_map<GateKey, Gate, GateKeyHash> gates_;
   std::string metrics_scope_;  ///< registry scope = process name (set in run)
+  std::uint64_t incarnation_ = 0;  ///< run() count; stales CounterHandles
+  CounterHandle m_custom_mute_{"custom_mute"};
+  CounterHandle m_probe_drops_{"probe_drops"};
   ipc::GroupId service_group_ = 0;  ///< joined on (re)start when nonzero
 
 #if V_TRACE_ENABLED

@@ -67,7 +67,7 @@ sim::Co<msg::Message> ExceptionServer::handle_custom(ipc::Process& self,
                            chk::AccessGuard::Mode::kWrite);
     reports_.emplace(name, std::move(report));
   }
-  metric_inc(self, "exceptions_raised");
+  metric_inc(self, m_exceptions_raised_);
   co_return reply;
 }
 

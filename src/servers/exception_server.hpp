@@ -82,6 +82,7 @@ class ExceptionServer : public naming::CsnhServer {
   /// (ctx,leaf) gate; annotate the write for the race detector instead.
   chk::CellState reports_cell_{"exception.reports"};
   std::uint16_t next_id_ = 1;
+  CounterHandle m_exceptions_raised_{"exceptions_raised"};
 };
 
 }  // namespace v::servers

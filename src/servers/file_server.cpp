@@ -83,7 +83,7 @@ class FileInstance : public io::InstanceObject {
     const std::size_t n =
         std::min({out.size(), block_bytes, node->data.size() - offset});
     std::memcpy(out.data(), node->data.data() + offset, n);
-    server_.metric_inc(self, "bytes_read", n);
+    server_.metric_inc(self, server_.m_bytes_read_, n);
     co_return n;
   }
 
@@ -111,7 +111,7 @@ class FileInstance : public io::InstanceObject {
       std::memcpy(node->data.data() + offset, data.data(), data.size());
     }
     node->mtime = sim_seconds(self);
-    server_.metric_inc(self, "bytes_written", data.size());
+    server_.metric_inc(self, server_.m_bytes_written_, data.size());
     co_return data.size();
   }
 
@@ -141,24 +141,22 @@ FileServer::FileServer(std::string server_name, DiskModel disk,
 FileServer::Inode& FileServer::alloc(Inode::Kind kind, InodeId parent,
                                      std::string name) {
   const InodeId id = next_inode_++;
-  Inode node;
+  if (inodes_.size() <= id) inodes_.resize(id + 1);
+  V_CHECK(inodes_[id] == nullptr);
+  inodes_[id] = std::make_unique<Inode>();
+  Inode& node = *inodes_[id];
   node.id = id;
   node.kind = kind;
   node.parent = parent;
   node.name_in_parent = std::move(name);
-  auto [it, inserted] = inodes_.emplace(id, std::move(node));
-  V_CHECK(inserted);
-  return it->second;
+  ++live_inodes_;
+  return node;
 }
 
-FileServer::Inode* FileServer::find_inode(InodeId id) {
-  auto it = inodes_.find(id);
-  return it != inodes_.end() ? &it->second : nullptr;
-}
-
-const FileServer::Inode* FileServer::find_inode(InodeId id) const {
-  auto it = inodes_.find(id);
-  return it != inodes_.end() ? &it->second : nullptr;
+FileServer::Inode& FileServer::inode_at(InodeId id) {
+  Inode* node = find_inode(id);
+  V_CHECK(node != nullptr);
+  return *node;
 }
 
 FileServer::Inode* FileServer::child(Inode& dir, std::string_view name) {
@@ -173,7 +171,7 @@ naming::ContextId FileServer::mkdirs(std::string_view path) {
     std::size_t next = 0;
     const auto component = naming::next_component(path, index, next);
     if (component.empty()) break;
-    auto& dir = inodes_.at(current);
+    auto& dir = inode_at(current);
     V_CHECK(dir.kind == Inode::Kind::kDirectory);
     if (auto* existing = child(dir, component)) {
       V_CHECK(existing->kind == Inode::Kind::kDirectory);
@@ -181,7 +179,7 @@ naming::ContextId FileServer::mkdirs(std::string_view path) {
     } else {
       auto& made =
           alloc(Inode::Kind::kDirectory, current, std::string(component));
-      inodes_.at(current).entries.emplace(std::string(component), made.id);
+      inode_at(current).entries.emplace(std::string(component), made.id);
       current = made.id;
     }
     index = next;
@@ -198,11 +196,11 @@ void FileServer::put_file(std::string_view path, std::string_view content) {
       slash == std::string_view::npos ? path : path.substr(slash + 1);
   V_CHECK(!leaf.empty());
   const InodeId dir_id = mkdirs(dir_path);
-  auto& dir = inodes_.at(dir_id);
+  auto& dir = inode_at(dir_id);
   Inode* file = child(dir, leaf);
   if (file == nullptr) {
     file = &alloc(Inode::Kind::kFile, dir_id, std::string(leaf));
-    inodes_.at(dir_id).entries.emplace(std::string(leaf), file->id);
+    inode_at(dir_id).entries.emplace(std::string(leaf), file->id);
   }
   V_CHECK(file->kind == Inode::Kind::kFile);
   file->data.resize(content.size());
@@ -220,10 +218,10 @@ void FileServer::put_link(std::string_view path, naming::ContextPair target) {
       slash == std::string_view::npos ? path : path.substr(slash + 1);
   V_CHECK(!leaf.empty());
   const InodeId dir_id = mkdirs(dir_path);
-  V_CHECK(!inodes_.at(dir_id).entries.contains(leaf));
+  V_CHECK(!inode_at(dir_id).entries.contains(leaf));
   auto& node = alloc(Inode::Kind::kRemoteLink, dir_id, std::string(leaf));
   node.link_target = target;
-  inodes_.at(dir_id).entries.emplace(std::string(leaf), node.id);
+  inode_at(dir_id).entries.emplace(std::string(leaf), node.id);
 }
 
 void FileServer::map_well_known(naming::ContextId well_known,
@@ -418,7 +416,8 @@ sim::Co<ReplyCode> FileServer::remove(ipc::Process& self,
   // distributed interpretation (section 2.2) — no name server to notify.
   const InodeId id = entry->id;
   dir->entries.erase(std::string(leaf));
-  inodes_.erase(id);
+  inodes_[id].reset();
+  --live_inodes_;
   co_return ReplyCode::kOk;
 }
 

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -57,7 +58,7 @@ class FileServer : public naming::CsnhServer {
   [[nodiscard]] Result<std::string> read_file(std::string_view path) const;
   /// Number of i-nodes in use.
   [[nodiscard]] std::size_t inode_count() const noexcept {
-    return inodes_.size();
+    return live_inodes_;
   }
 
   [[nodiscard]] const std::string& server_name() const noexcept {
@@ -126,8 +127,16 @@ class FileServer : public naming::CsnhServer {
   /// beneath it (a directory rename relocates the whole subtree).  Caller
   /// holds the mutation gate of the rename that justifies the bumps.
   void bump_subtree_generations(ipc::Process& self, const Inode& dir);
-  [[nodiscard]] Inode* find_inode(InodeId id);
-  [[nodiscard]] const Inode* find_inode(InodeId id) const;
+  /// The i-node `id`, or nullptr.  Any 32-bit value may be asked (context
+  /// ids arrive from clients), so out-of-range ids simply miss.
+  [[nodiscard]] Inode* find_inode(InodeId id) noexcept {
+    return id < inodes_.size() ? inodes_[id].get() : nullptr;
+  }
+  [[nodiscard]] const Inode* find_inode(InodeId id) const noexcept {
+    return id < inodes_.size() ? inodes_[id].get() : nullptr;
+  }
+  /// The live i-node `id` (a missing one is a broken invariant).
+  [[nodiscard]] Inode& inode_at(InodeId id);
   [[nodiscard]] Inode* child(Inode& dir, std::string_view name);
   naming::ObjectDescriptor describe_inode(const Inode& inode) const;
   [[nodiscard]] std::string path_of(InodeId id) const;
@@ -137,10 +146,16 @@ class FileServer : public naming::CsnhServer {
   DiskModel disk_;
   bool register_service_;
   ipc::GroupId group_ = 0;
-  std::map<InodeId, Inode> inodes_;
-  std::map<naming::ContextId, InodeId> well_known_;
+  /// I-node table indexed by id: ids are allocated densely from 1 and never
+  /// reused, so a lookup is a bounds check and a load.  A removed i-node
+  /// leaves an empty slot; each Inode keeps its address as the table grows.
+  std::vector<std::unique_ptr<Inode>> inodes_;
+  std::size_t live_inodes_ = 0;
+  FlatMap<naming::ContextId, InodeId> well_known_;
   InodeId next_inode_ = 1;
   InodeId root_ = 0;
+  CounterHandle m_bytes_read_{"bytes_read"};
+  CounterHandle m_bytes_written_{"bytes_written"};
 };
 
 }  // namespace v::servers

@@ -145,7 +145,7 @@ sim::Co<ReplyCode> InternetServer::create_object(ipc::Process& self,
   conn.id = next_id_++;
   conn.opened = static_cast<std::uint32_t>(self.now() / sim::kSecond);
   connections_.emplace(std::string(leaf), std::move(conn));
-  metric_inc(self, "connections_opened");
+  metric_inc(self, m_connections_opened_);
   co_return ReplyCode::kOk;
 }
 

@@ -69,6 +69,7 @@ class InternetServer : public naming::CsnhServer {
   bool register_service_;
   std::map<std::string, Connection, std::less<>> connections_;
   std::uint32_t next_id_ = 1;
+  CounterHandle m_connections_opened_{"connections_opened"};
 };
 
 }  // namespace v::servers

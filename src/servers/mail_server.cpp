@@ -54,7 +54,7 @@ class MailboxInstance : public io::InstanceObject {
     if (it == server_.mailboxes_.end()) co_return ReplyCode::kBadState;
     it->second.messages.emplace_back(
         reinterpret_cast<const char*>(data.data()), data.size());
-    server_.metric_inc(self, "deliveries");
+    server_.metric_inc(self, server_.m_deliveries_);
     co_return data.size();
   }
 

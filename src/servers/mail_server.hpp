@@ -75,6 +75,7 @@ class MailServer : public naming::CsnhServer {
   bool register_service_;
   std::map<std::string, Mailbox, std::less<>> mailboxes_;
   std::uint32_t next_id_ = 1;
+  CounterHandle m_deliveries_{"deliveries"};
 };
 
 }  // namespace v::servers

@@ -279,7 +279,7 @@ sim::Co<std::optional<msg::Message>> PipeServer::handle_instance_op(
         }
         // Block: keep the envelope, reply when data or EOF arrives.
         pipe.blocked_readers.push_back(env);
-        metric_inc(self, "blocked_reads");
+        metric_inc(self, m_blocked_reads_);
         co_return std::nullopt;
       }
       co_await serve_read(self, env, pipe);

@@ -85,6 +85,7 @@ class PipeServer : public naming::CsnhServer {
   /// mutation must be momentary (claim-then-suspend), which the race
   /// detector enforces through this cell.
   chk::CellState pipe_buffers_cell_{"pipe.buffers"};
+  CounterHandle m_blocked_reads_{"blocked_reads"};
 };
 
 }  // namespace v::servers

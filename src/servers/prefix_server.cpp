@@ -61,7 +61,7 @@ sim::Co<naming::CsnhServer::LookupResult> ContextPrefixServer::lookup(
     ipc::Process& self, naming::ContextId /*ctx*/,
     std::string_view component) {
   auto it = table_.find(component);
-  metric_inc(self, it != table_.end() ? "prefix_hits" : "prefix_misses");
+  metric_inc(self, it != table_.end() ? m_prefix_hits_ : m_prefix_misses_);
   if (it == table_.end()) co_return LookupResult::missing();
   const Entry& entry = it->second;
   if (entry.group != 0) {
@@ -77,7 +77,7 @@ sim::Co<naming::CsnhServer::LookupResult> ContextPrefixServer::lookup(
     // use already rebinds them.)
     if (rebind_group_ != 0 &&
         !self.domain().process_alive(entry.target.server)) {
-      metric_inc(self, "rebind_probes");
+      metric_inc(self, m_rebind_probes_);
       co_return LookupResult::group_probe(rebind_group_,
                                           entry.target.context);
     }

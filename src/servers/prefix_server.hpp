@@ -104,6 +104,9 @@ class ContextPrefixServer : public naming::CsnhServer {
   bool register_service_;
   std::map<std::string, Entry, std::less<>> table_;
   ipc::GroupId rebind_group_ = 0;
+  CounterHandle m_prefix_hits_{"prefix_hits"};
+  CounterHandle m_prefix_misses_{"prefix_misses"};
+  CounterHandle m_rebind_probes_{"rebind_probes"};
 };
 
 }  // namespace v::servers

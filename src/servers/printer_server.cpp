@@ -40,7 +40,7 @@ class PrintJobInstance : public io::InstanceObject {
     job.data.insert(job.data.end(), data.begin(), data.end());
     job.submitted = self.now();
     server_.schedule_job(job, self.now());
-    server_.metric_inc(self, "spooled_bytes", data.size());
+    server_.metric_inc(self, server_.m_spooled_bytes_, data.size());
     co_return data.size();
   }
 

@@ -73,6 +73,7 @@ class PrinterServer : public naming::CsnhServer {
   std::map<std::string, Job, std::less<>> jobs_;
   std::uint32_t next_id_ = 1;
   sim::SimTime printer_free_at_ = 0;  ///< when the (single) engine frees up
+  CounterHandle m_spooled_bytes_{"spooled_bytes"};
 };
 
 }  // namespace v::servers

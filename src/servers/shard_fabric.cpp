@@ -21,7 +21,7 @@ sim::Co<msg::Message> ShardPrefixServer::handle_custom(ipc::Process& self,
     // chorus protocols are forbidden; see CsnhServer::handle_custom.
     co_return silent_discard();
   }
-  metric_inc(self, "shardmap_fetches");
+  metric_inc(self, m_shardmap_fetches_);
   const naming::ShardMap map = fabric_->snapshot();
   std::vector<std::byte> bytes;
   bytes.reserve(128);

@@ -63,6 +63,7 @@ class ShardPrefixServer : public ContextPrefixServer {
 
  private:
   ShardFabric* fabric_;
+  CounterHandle m_shardmap_fetches_{"shardmap_fetches"};
 };
 
 /// The fabric: owns the shard servers, their hosts, the authoritative map,

@@ -87,7 +87,7 @@ sim::Co<msg::Message> TeamServer::do_load(ipc::Process& self,
   msg::Message reply = msg::make_reply(ReplyCode::kOk);
   reply.set_u16(kOffLoadProgramId, program.id);
   reply.set_u32(kOffLoadBytes, program.bytes);
-  metric_inc(self, "programs_loaded");
+  metric_inc(self, m_programs_loaded_);
   metric_hist(self, "load_bytes", static_cast<double>(program.bytes));
   {
     chk::AccessGuard guard(self, programs_cell_,

@@ -78,6 +78,7 @@ class TeamServer : public naming::CsnhServer {
   chk::CellState programs_cell_{"team.programs"};
   std::uint16_t next_id_ = 1;
   std::optional<svc::Rt> rt_;  ///< lazily attached workstation runtime
+  CounterHandle m_programs_loaded_{"programs_loaded"};
 };
 
 }  // namespace v::servers

@@ -49,7 +49,7 @@ class TerminalInstance : public io::InstanceObject {
     // Streams append regardless of the block number.
     it->second.transcript.insert(it->second.transcript.end(), data.begin(),
                                  data.end());
-    server_.metric_inc(self, "chars_written", data.size());
+    server_.metric_inc(self, server_.m_chars_written_, data.size());
     co_return data.size();
   }
 

@@ -62,6 +62,7 @@ class TerminalServer : public naming::CsnhServer {
   bool register_service_;
   std::map<std::string, Terminal, std::less<>> terminals_;
   std::uint32_t next_id_ = 1;
+  CounterHandle m_chars_written_{"chars_written"};
 };
 
 }  // namespace v::servers

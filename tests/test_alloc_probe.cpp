@@ -1,12 +1,15 @@
 // The allocation-free packet path, made executable (DESIGN.md §4l): with
 // the envelope slab, intrusive mailboxes, inline delivery closures and the
 // coroutine frame pool warmed up, a Send/Receive/Reply transaction touches
-// the heap ZERO times.  chk::alloc_probe counts every global operator
-// new/delete in this binary (the replacement operators link only here —
-// see alloc_probe.hpp), and this test asserts the zero.
+// the heap ZERO times — also under a fault plan, where every Send arms a
+// retransmission timer and every delivery passes the duplicate filter.
+// chk::alloc_probe counts every global operator new/delete in this binary
+// (the replacement operators link only here — see alloc_probe.hpp), and
+// these tests assert the zero.
 #include <gtest/gtest.h>
 
 #include "chk/alloc_probe.hpp"
+#include "fault/fault.hpp"
 #include "ipc/kernel.hpp"
 #include "msg/message.hpp"
 #include "sim/frame_pool.hpp"
@@ -16,14 +19,12 @@ namespace {
 
 using sim::Co;
 
-TEST(AllocProbe, WarmPingPongTransactionsAllocateNothing) {
-  if (!chk::alloc_probe_active()) {
-    GTEST_SKIP() << "probe inactive (sanitizer build owns the allocator)";
-  }
-#if !V_FRAME_POOL_ENABLED
-  GTEST_SKIP() << "frame pool disabled: coroutine frames hit the heap";
-#else
+#if V_FRAME_POOL_ENABLED
+/// Warm ping-pong between two hosts; `plan`, when given, is installed
+/// first.  Asserts zero heap allocations across the measured window.
+void expect_warm_ping_pong_allocates_nothing(fault::FaultPlan* plan) {
   ipc::Domain dom;
+  if (plan != nullptr) dom.install_faults(*plan);
   auto& ws = dom.add_host("ws1");
   auto& srv = dom.add_host("srv1");
   const auto echo_pid = srv.spawn("echo", [](ipc::Process self) -> Co<void> {
@@ -57,6 +58,36 @@ TEST(AllocProbe, WarmPingPongTransactionsAllocateNothing) {
   dom.run();
   EXPECT_EQ(dom.process_failures(), 0u) << dom.first_failure();
   EXPECT_TRUE(done) << "pinger parked forever";
+}
+#endif  // V_FRAME_POOL_ENABLED
+
+TEST(AllocProbe, WarmPingPongTransactionsAllocateNothing) {
+  if (!chk::alloc_probe_active()) {
+    GTEST_SKIP() << "probe inactive (sanitizer build owns the allocator)";
+  }
+#if !V_FRAME_POOL_ENABLED
+  GTEST_SKIP() << "frame pool disabled: coroutine frames hit the heap";
+#else
+  expect_warm_ping_pong_allocates_nothing(nullptr);
+#endif
+}
+
+TEST(AllocProbe, WarmPingPongUnderFaultPlanAllocatesNothing) {
+  if (!chk::alloc_probe_active()) {
+    GTEST_SKIP() << "probe inactive (sanitizer build owns the allocator)";
+  }
+#if !V_FRAME_POOL_ENABLED
+  GTEST_SKIP() << "frame pool disabled: coroutine frames hit the heap";
+#else
+  // No loss, so every transaction completes first time; but each Send
+  // still arms its retransmission timer, every request passes the server's
+  // duplicate filter and every reply closes a transaction slot.
+  fault::FaultPlan plan;
+  expect_warm_ping_pong_allocates_nothing(&plan);
+#if V_FAULT_ENABLED
+  EXPECT_GT(plan.stats().packets_seen, 0u);
+  EXPECT_EQ(plan.stats().retransmits, 0u);
+#endif
 #endif
 }
 

@@ -199,6 +199,95 @@ TEST(FlatMapLargeN, RandomChurnMatchesShadowModelAt100k) {
   }
 }
 
+TEST(FlatMap, TryEmplaceReportsInsertion) {
+  FlatMap<std::uint64_t, int> m;
+  auto [it, fresh] = m.try_emplace(7);
+  ASSERT_TRUE(fresh);
+  EXPECT_EQ(it->second, 0);  // value-initialized on insertion
+  it->second = 70;
+  auto [again, fresh_again] = m.try_emplace(7);
+  EXPECT_FALSE(fresh_again);
+  EXPECT_EQ(again, it);
+  EXPECT_EQ(again->second, 70);
+  EXPECT_EQ(m.size(), 1u);
+}
+
+TEST(FlatMap, EraseIfRemovesMatchesAndReusesTheirTombstones) {
+  // The protocol lint's ledger pattern: keys pack (server << 32 | client),
+  // and forgetting a server drops every key with its upper half.
+  FlatMap<std::uint64_t, int> m;
+  auto key = [](std::uint64_t server, std::uint64_t client) {
+    return (server << 32) | client;
+  };
+  for (std::uint64_t server = 1; server <= 4; ++server) {
+    for (std::uint64_t client = 0; client < 100; ++client) {
+      m[key(server, client)] = static_cast<int>(server);
+    }
+  }
+  const std::size_t capacity = m.capacity();
+  EXPECT_EQ(
+      m.erase_if([](const auto& slot) { return slot.first >> 32 == 2; }),
+      100u);
+  EXPECT_EQ(m.size(), 300u);
+  for (std::uint64_t server = 1; server <= 4; ++server) {
+    for (std::uint64_t client = 0; client < 100; ++client) {
+      auto* it = m.find(key(server, client));
+      if (server == 2) {
+        EXPECT_EQ(it, m.end());
+      } else {
+        ASSERT_NE(it, m.end());
+        EXPECT_EQ(it->second, static_cast<int>(server));
+      }
+    }
+  }
+  // A predicate matching nothing removes nothing.
+  EXPECT_EQ(m.erase_if([](const auto&) { return false; }), 0u);
+  // Forget and re-register one server over and over: each round leaves
+  // 100 tombstones that the re-inserts (or a same-capacity compaction)
+  // must absorb, so the table never grows while the live count is fixed.
+  for (int round = 0; round < 2'000; ++round) {
+    const std::uint64_t server = 1 + static_cast<std::uint64_t>(round % 4);
+    m.erase_if(
+        [server](const auto& slot) { return slot.first >> 32 == server; });
+    for (std::uint64_t client = 0; client < 100; ++client) {
+      m[key(server, client)] = round;
+    }
+    ASSERT_EQ(m.size(), round == 0 ? 300u : 400u);  // server 2 back at 1
+    ASSERT_LE(m.capacity(), capacity);
+  }
+  for (std::uint64_t server = 1; server <= 4; ++server) {
+    for (std::uint64_t client = 0; client < 100; ++client) {
+      ASSERT_NE(m.find(key(server, client)), m.end());
+    }
+  }
+}
+
+TEST(FlatMap, EraseIfChurnMatchesMapModel) {
+  FlatMap<std::uint64_t, std::uint64_t> m;
+  std::map<std::uint64_t, std::uint64_t> shadow;
+  std::mt19937_64 rng(0xE5A5E);
+  for (int step = 0; step < 50'000; ++step) {
+    const std::uint64_t key = rng() % 4'096;
+    if (rng() % 64 == 0) {
+      const std::uint64_t bucket = rng() % 16;
+      auto pred = [bucket](const auto& kv) { return kv.first % 16 == bucket; };
+      EXPECT_EQ(m.erase_if(pred), std::erase_if(shadow, pred));
+    } else if (rng() % 3 == 0) {
+      EXPECT_EQ(m.erase(key), shadow.erase(key));
+    } else {
+      const std::uint64_t value = rng();
+      m[key] = value;
+      shadow[key] = value;
+    }
+    ASSERT_EQ(m.size(), shadow.size());
+  }
+  for (const auto& [key, value] : shadow) {
+    auto* it = m.find(key);
+    ASSERT_NE(it, m.end()) << "lost key " << key;
+    EXPECT_EQ(it->second, value);
+  }
+}
+
 TEST(FlatMap, ClearResetsTombstones) {
   FlatMap<std::uint64_t, int> m;
   for (std::uint64_t k = 0; k < 64; ++k) m[k] = 1;
