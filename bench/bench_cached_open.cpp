@@ -13,8 +13,9 @@
 //
 // Two tables:
 //   1. warm-hit latency + message accounting against the E4 rows;
-//   2. a reuse-ratio x mutation-rate sweep showing how the benefit decays
-//      and what staleness costs when the name space churns underneath.
+//   2. a reuse-ratio x mutation-rate sweep showing what churn costs: leaf
+//      mutations (file creates) leave every binding valid, while context
+//      mutations (MakeContext) refuse them and the benefit decays.
 #include "bench_util.hpp"
 #include "naming/protocol.hpp"
 #include "svc/name_cache.hpp"
@@ -98,11 +99,17 @@ struct SweepCell {
   int wrong = 0;  ///< opens whose bytes contradicted the current name space
 };
 
+/// What the sweep's churn does to the directory it mutates.
+enum class Churn {
+  kLeaf,     ///< CreateName of a plain file: the generation stays
+  kContext,  ///< MakeContext: advances the directory's generation and
+             ///< invalidates any binding learned before it
+};
+
 /// 64 opens spread round-robin over `dirs` directories on a remote server;
-/// when `mutate_every` > 0, every such open is preceded by a CreateName in
-/// the same directory — a gated mutation that advances the directory's
-/// generation and invalidates any binding learned before it.
-SweepCell measure_cell(int dirs, int mutate_every) {
+/// when `mutate_every` > 0, every such open is preceded by a `churn`
+/// mutation in the same directory.
+SweepCell measure_cell(int dirs, int mutate_every, Churn churn) {
   constexpr int kOpens = 64;
   ipc::Domain dom;
   auto& ws1 = dom.add_host("ws1");
@@ -131,7 +138,12 @@ SweepCell measure_cell(int dirs, int mutate_every) {
       if (mutate_every > 0 && i > 0 && i % mutate_every == 0) {
         // The name space moves underneath the cache (untimed: this prices
         // the opens, not the churn).
-        (void)co_await rt.create(dir + "/m" + std::to_string(i) + ".dat");
+        const std::string made = dir + "/m" + std::to_string(i) + ".dat";
+        if (churn == Churn::kLeaf) {
+          (void)co_await rt.create(made);
+        } else {
+          (void)co_await rt.make_context(made);
+        }
       }
       const std::string name =
           dir + "/f" + std::to_string(i / dirs) + ".dat";
@@ -202,15 +214,25 @@ int main(int argc, char** argv) {
   bench::headline("E4-cached-sweep", "reuse ratio x mutation rate (64 opens)");
   std::uint64_t hits = 0, misses = 0, stale = 0, fallbacks = 0;
   int wrong = 0;
+  struct Column {
+    int mutate_every;
+    Churn churn;
+    const char* label;
+  };
+  constexpr Column kColumns[] = {
+      {0, Churn::kLeaf, "no mutation"},
+      {8, Churn::kLeaf, "leaf mutate 1/8"},
+      {2, Churn::kLeaf, "leaf mutate 1/2"},
+      {8, Churn::kContext, "context mutate 1/8"},
+      {2, Churn::kContext, "context mutate 1/2"},
+  };
   for (const int dirs : {1, 8, 64}) {
-    for (const int mutate_every : {0, 8, 2}) {
-      const SweepCell cell = measure_cell(dirs, mutate_every);
+    for (const Column& column : kColumns) {
+      const SweepCell cell =
+          measure_cell(dirs, column.mutate_every, column.churn);
       const std::string label =
-          std::to_string(dirs) + " dirs, " +
-          (mutate_every == 0
-               ? std::string("no mutation")
-               : "mutate 1/" + std::to_string(mutate_every)) +
-          " (" + std::to_string(cell.hits) + " hits, " +
+          std::to_string(dirs) + " dirs, " + column.label + " (" +
+          std::to_string(cell.hits) + " hits, " +
           std::to_string(cell.stale) + " stale)";
       bench::row(label, cell.mean_open_ms);
       hits += cell.hits;

@@ -276,7 +276,9 @@ double median(std::vector<double> v) {
 
 int main(int argc, char** argv) {
   const std::string json_path = bench::json_path_from_args(argc, argv);
-  const int repeats = bench::repeat_from_args(argc, argv);
+  // Read even when V_FAULT=OFF compiles out the sweep that uses it, so
+  // both builds accept the same command line.
+  [[maybe_unused]] const int repeats = bench::repeat_from_args(argc, argv);
   int rc = 0;
 
   bench::headline("E11-fault",

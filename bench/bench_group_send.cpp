@@ -101,7 +101,9 @@ int main(int argc, char** argv) {
     std::vector<ipc::Host*> fleet_hosts;
     for (int r = 0; r < replicas; ++r) {
       // First replica local to the client, the rest remote.
-      auto& host = r == 0 ? ws : dom.add_host("r" + std::to_string(r));
+      auto& host =
+          r == 0 ? ws
+                 : dom.add_host(std::string("r").append(std::to_string(r)));
       fleet.push_back(std::make_unique<servers::FileServer>(
           "repl" + std::to_string(r), servers::DiskModel::kMemory, false));
       fleet.back()->put_file("shared/doc", "replica bytes");

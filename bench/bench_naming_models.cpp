@@ -47,10 +47,10 @@ int main(int argc, char** argv) {
   for (int i = 0; i < kFiles / 2; ++i) {
     central.preload("/fs1/data/a" + std::to_string(i),
                     {{fs1_pid, fs1.context_of("data")},
-                     "a" + std::to_string(i)});
+                     std::string("a").append(std::to_string(i))});
     central.preload("/fs2/data/b" + std::to_string(i),
                     {{fs2_pid, fs2.context_of("data")},
-                     "b" + std::to_string(i)});
+                     std::string("b").append(std::to_string(i))});
   }
   const auto ns_pid =
       nsh.spawn("central-ns", [&](ipc::Process p) { return central.run(p); });

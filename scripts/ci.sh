@@ -13,7 +13,9 @@
 #   scripts/ci.sh slint    # V-lint static analysis (tools/vlint): tree must
 #                          # be clean, every seeded fixture must fail
 #   scripts/ci.sh fuzz     # 16-seed deterministic schedule-fuzz sweep
-#   scripts/ci.sh chk-off  # V_CHECKS=OFF: tests pass, chk symbols absent,
+#   scripts/ci.sh chk-off  # V_CHECKS=OFF (warnings are errors, as in the
+#                          # trace-off and fault-off builds below): tests
+#                          # pass, chk symbols absent,
 #                          # server-team and production-day (E14) reports
 #                          # bit-identical to the checked-in baselines
 #   scripts/ci.sh trace    # V-trace: run the trace example, validate the
@@ -127,7 +129,7 @@ run_fuzz() {
 
 run_chk_off() {
   echo "==> chk-off (V_CHECKS=OFF build)"
-  run_preset chk-off
+  run_preset chk-off -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
   echo "==> chk-off symbol check"
   # Zero-cost-when-disabled means compiled OUT, not stubbed: no v::chk::
   # symbol may survive in a linked test binary.
@@ -158,7 +160,7 @@ run_trace() {
   python3 scripts/check_trace_json.py /tmp/trace_ci.json
 
   echo "==> trace-off (V_TRACE=OFF build)"
-  run_preset trace-off
+  run_preset trace-off -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
   echo "==> trace-off symbol check"
   # Compiled out means OUT: no v::obs:: symbol may survive in a linked
   # binary (same zero-cost-when-disabled bar V-check set).
@@ -265,7 +267,7 @@ run_fault() {
   diff /tmp/fault_ref.json /tmp/fault_new.json
 
   echo "==> fault-off (V_FAULT=OFF build)"
-  run_preset fault-off
+  run_preset fault-off -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
   echo "==> fault-off symbol check"
   # Zero-cost-when-disabled means compiled OUT, not stubbed: no v::fault::
   # symbol may survive in a linked test binary.
@@ -327,7 +329,7 @@ run_obs() {
     --overhead timer-churn:timer-churn-flight /tmp/bench_engine_flight.json
 
   echo "==> obs: trace-off build (recorder compiled out)"
-  cmake --preset trace-off
+  cmake --preset trace-off -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
   cmake --build --preset trace-off -j "$(nproc)" --target test_integration
   echo "==> obs: trace-off symbol check"
   # The flight recorder and sampler live in v::obs:: and must vanish with

@@ -552,11 +552,11 @@ class Domain {
   [[nodiscard]] const DomainStats& stats() const noexcept { return stats_; }
 
   /// Next value of the domain-wide name-space generation sequence.  Every
-  /// context-generation assignment (server start and every gated mutation)
-  /// draws from this one monotone counter, so a generation can never recur
-  /// across server incarnations — a restarted (or impostor) server's
-  /// contexts always mismatch a cached generation instead of silently
-  /// aliasing it (the paper-§2.2 hazard).  Never returns 0 ("no
+  /// context-generation assignment (server start and every bumping gated
+  /// mutation) draws from this one monotone counter, so a generation can
+  /// never recur across server incarnations — a restarted (or impostor)
+  /// server's contexts always mismatch a cached generation instead of
+  /// silently aliasing it (the paper-§2.2 hazard).  Never returns 0 ("no
   /// expectation" on the wire).
   [[nodiscard]] std::uint32_t next_name_generation() noexcept {
     return ++name_generation_;

@@ -501,9 +501,10 @@ sim::Co<void> CsnhServer::handle_csname(ipc::Process& self,
   }
   // Validated caching (PROTOCOL.md 11): a client that learned this context
   // through a binding hint may quote the generation it expects.  If the
-  // name space changed since (any gated mutation bumps the generation), we
-  // answer kStaleContext INSTEAD of interpreting against a name space the
-  // client no longer means — the §2.2 silent-wrong-answer, made loud.
+  // name space changed since (any gated mutation of a context-valued entry
+  // bumps the generation), we answer kStaleContext INSTEAD of interpreting
+  // against a name space the client no longer means — the §2.2
+  // silent-wrong-answer, made loud.
   if (msg::cs::has_expected_generation(env.request) &&
       msg::cs::expected_generation(env.request) != generation(ctx)) {
 #if V_TRACE_ENABLED
@@ -611,9 +612,12 @@ sim::Co<void> CsnhServer::handle_csname(ipc::Process& self,
   //    released by ~GateLock when this frame unwinds, after the reply).
   GateLock gate(*this, self.domain(), self.fiber_state(),
                 GateKey{ctx, std::string(leaf)}, self.pid());
-  if (mutates_name(code, msg::cs::mode(env.request))) {
-    co_await gate;
-  }
+  const bool mutating = mutates_name(code, msg::cs::mode(env.request));
+  if (mutating) co_await gate;
+  // Whether the leaf names a context BEFORE the mutation (a rename or
+  // remove of a directory); the check after the dispatch covers the
+  // mutations that make one (MakeContext, LinkContext).
+  const bool leaf_was_context = mutating && names_context(ctx, leaf);
   Message reply;
   switch (code) {
     case RequestCode::kMapContextName: {
@@ -683,11 +687,14 @@ sim::Co<void> CsnhServer::handle_csname(ipc::Process& self,
       reply = co_await handle_custom_csname(self, env, ctx, leaf, name);
       break;
   }
-  // A successful gated mutation changed the name space under ctx: advance
-  // its generation (gate still held, so the bump is race-detector clean and
-  // ordered with the mutation it records).
+  // A successful gated mutation of a context-valued entry changed what
+  // names under ctx resolve to: advance its generation (gate still held, so
+  // the bump is race-detector clean and ordered with the mutation it
+  // records).  A create, remove or rename of a plain object leaves it: no
+  // cached binding walked through that entry, and a validated hit
+  // interprets the leaf afresh (PROTOCOL.md 11).
   if (reply.code() == static_cast<std::uint16_t>(ReplyCode::kOk) &&
-      mutates_name(code, msg::cs::mode(env.request))) {
+      mutating && (leaf_was_context || names_context(ctx, leaf))) {
     bump_generation(self, ctx);
   }
   // Piggyback the binding hint on success: interpretation ended HERE, in
@@ -833,8 +840,12 @@ sim::Co<ReplyCode> CsnhServer::gated_modify(ipc::Process& self, ContextId ctx,
   GateLock gate(*this, self.domain(), self.fiber_state(),
                 GateKey{ctx, desc.name}, self.pid());
   co_await gate;
+  const bool leaf_was_context = names_context(ctx, desc.name);
   const ReplyCode code = co_await modify(self, ctx, desc.name, desc);
-  if (code == ReplyCode::kOk) bump_generation(self, ctx);
+  if (code == ReplyCode::kOk &&
+      (leaf_was_context || names_context(ctx, desc.name))) {
+    bump_generation(self, ctx);
+  }
   co_return code;
 }
 

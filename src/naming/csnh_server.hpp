@@ -106,11 +106,12 @@ class CsnhServer {
   [[nodiscard]] std::uint64_t shed_count() const noexcept { return sheds_; }
 
   /// Current generation of `ctx` in this incarnation of the server.  Every
-  /// gated name-space mutation bumps the affected context's generation; the
-  /// values are drawn from the DOMAIN-wide monotone sequence, so no
-  /// generation ever recurs — not in this server, not in a restarted one,
-  /// not in an impostor listening on a recycled pid.  A request carrying an
-  /// expected generation that differs is answered kStaleContext.
+  /// gated mutation that can change a context-valued entry (names_context)
+  /// bumps the affected context's generation; the values are drawn from
+  /// the DOMAIN-wide monotone sequence, so no generation ever recurs — not
+  /// in this server, not in a restarted one, not in an impostor listening
+  /// on a recycled pid.  A request carrying an expected generation that
+  /// differs is answered kStaleContext.
   [[nodiscard]] std::uint32_t generation(ContextId ctx) const noexcept {
     const auto it = generations_.find(ctx);
     return it != generations_.end() ? it->second : gen_floor_;
@@ -198,6 +199,17 @@ class CsnhServer {
   /// Is `ctx` a context this server implements right now?
   virtual bool context_valid(ContextId ctx) {
     return ctx == kDefaultContext;
+  }
+
+  /// Does `leaf` in `ctx` name a context right now (an empty leaf names
+  /// `ctx` itself)?  Asked under the (ctx, leaf) mutation gate, just before
+  /// and just after a mutation; the generation of `ctx` advances only when
+  /// either answer is yes, since a cached binding never walked through a
+  /// plain object (PROTOCOL.md 11).  Host-side: no simulated cost, never
+  /// suspends.  Default: yes, so every successful mutation bumps.
+  [[nodiscard]] virtual bool names_context(ContextId /*ctx*/,
+                                           std::string_view /*leaf*/) const {
+    return true;
   }
 
   /// Split off the component of `name` starting at `index` (also skipping
@@ -336,7 +348,8 @@ class CsnhServer {
   }
 
   /// Advance `ctx`'s generation (next value of the domain-wide sequence).
-  /// The base calls this after every successful gated mutation; subclasses
+  /// The base calls this after every successful gated mutation whose leaf
+  /// names a context before or after it (names_context); subclasses
   /// whose mutations touch MORE contexts than the dispatched one (a
   /// directory rename relocates every descendant context) call it for each
   /// extra context affected, while still holding the mutation gate.

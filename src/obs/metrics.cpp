@@ -130,7 +130,9 @@ std::string MetricsRegistry::to_json() const {
       if (numeric) {
         out += value;
       } else {
-        out += "\"" + json_escape(value) + "\"";
+        out += '"';
+        out += json_escape(value);
+        out += '"';
       }
       out += ++i < metrics.size() ? ",\n" : "\n";
     }

@@ -318,6 +318,16 @@ bool FileServer::context_valid(naming::ContextId ctx) {
   return node != nullptr && node->kind == Inode::Kind::kDirectory;
 }
 
+bool FileServer::names_context(naming::ContextId ctx,
+                               std::string_view leaf) const {
+  const auto* dir = find_inode(static_cast<InodeId>(ctx));
+  if (dir == nullptr || leaf.empty()) return true;  // the context itself
+  const auto it = dir->entries.find(leaf);
+  if (it == dir->entries.end()) return false;
+  const auto* entry = find_inode(it->second);
+  return entry != nullptr && entry->kind != Inode::Kind::kFile;
+}
+
 sim::Co<naming::CsnhServer::LookupResult> FileServer::lookup(
     ipc::Process& /*self*/, naming::ContextId ctx,
     std::string_view component) {

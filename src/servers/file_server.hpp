@@ -74,6 +74,10 @@ class FileServer : public naming::CsnhServer {
   sim::Co<void> on_start(ipc::Process& self) override;
   naming::ContextId translate_context(naming::ContextId ctx) override;
   bool context_valid(naming::ContextId ctx) override;
+  /// From the i-node kind: a directory or a cross-server link names a
+  /// context, a plain file (or a free name) does not.
+  [[nodiscard]] bool names_context(naming::ContextId ctx,
+                                   std::string_view leaf) const override;
   sim::Co<LookupResult> lookup(ipc::Process& self, naming::ContextId ctx,
                                std::string_view component) override;
   sim::Co<Result<naming::ObjectDescriptor>> describe(

@@ -15,12 +15,14 @@
 //
 // learned for free from the binding hint piggybacked on successful CSname
 // replies (PROTOCOL.md 11).  A cached open goes straight to the final
-// server carrying the expected generation; if ANY gated mutation has
-// touched that context since, the server answers kStaleContext instead of
-// interpreting, and the runtime transparently falls back to a full
-// resolution.  Because generations are drawn from one domain-wide monotone
-// sequence, a restarted server — or an impostor on a recycled pid — can
-// never echo a stale generation back into validity.
+// server carrying the expected generation; if any gated mutation of a
+// context-valued entry has touched that context since, the server answers
+// kStaleContext instead of interpreting, and the runtime transparently
+// falls back to a full resolution.  (A plain file's create, remove or
+// rename needs no refusal: the hit interprets the leaf afresh.)  Because
+// generations are drawn from one domain-wide monotone sequence, a
+// restarted server — or an impostor on a recycled pid — can never echo a
+// stale generation back into validity.
 //
 // `origin` records the entry binding the resolution travelled through
 // (normally the context prefix server's table context).  Whenever a newer
@@ -37,8 +39,8 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <utility>
 
+#include "common/flat_map.hpp"
 #include "ipc/kernel.hpp"
 #include "naming/types.hpp"
 
@@ -102,12 +104,10 @@ class NameCache {
   /// older generation of it.
   void observe_origin(const ipc::BindingHint& origin) {
     if (!origin.valid()) return;
-    const OriginKey key{origin.server_pid, origin.context_id};
-    auto [it, inserted] = origins_.emplace(key, origin.generation);
-    if (!inserted) {
-      if (origin.generation <= it->second) return;
-      it->second = origin.generation;
-    }
+    const auto [it, inserted] = origins_.try_emplace(
+        origin_key(origin.server_pid, origin.context_id));
+    if (!inserted && origin.generation <= it->second) return;
+    it->second = origin.generation;
     for (auto entry = entries_.begin(); entry != entries_.end();) {
       const ipc::BindingHint& dep = entry->second.binding.origin;
       if (dep.valid() && dep.server_pid == origin.server_pid &&
@@ -147,12 +147,16 @@ class NameCache {
     Binding binding;
     std::list<std::string>::iterator position;
   };
-  using OriginKey = std::pair<std::uint32_t, std::uint32_t>;
+  /// (server pid, context id) packed into one FlatMap key.
+  static constexpr std::uint64_t origin_key(std::uint32_t server_pid,
+                                            std::uint32_t context_id) {
+    return (std::uint64_t{server_pid} << 32) | context_id;
+  }
 
   std::size_t capacity_;
   std::map<std::string, Entry, std::less<>> entries_;
   std::list<std::string> lru_;
-  std::map<OriginKey, std::uint32_t> origins_;  ///< latest observed gens
+  FlatMap<std::uint64_t, std::uint32_t> origins_;  ///< latest observed gens
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t invalidations_ = 0;

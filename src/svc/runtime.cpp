@@ -62,14 +62,14 @@ sim::Co<msg::Message> Rt::send_csname(msg::Message request,
 void Rt::set_cache(NameCache* cache) {
   cache_ = cache;
 #if V_TRACE_ENABLED
-  if (cache_ != nullptr) {
+  if (cache_ != nullptr && cache_counters_.hits == nullptr) {
     // Materialize the namecache scope so "[metrics]namecache" is listable
-    // before the first hit/miss.
+    // before the first hit/miss, and keep the entries for the open path.
     auto& metrics = self_.domain().metrics();
-    metrics.counter("namecache", "hits");
-    metrics.counter("namecache", "misses");
-    metrics.counter("namecache", "stale");
-    metrics.counter("namecache", "fallbacks");
+    cache_counters_ = {&metrics.counter("namecache", "hits"),
+                       &metrics.counter("namecache", "misses"),
+                       &metrics.counter("namecache", "stale"),
+                       &metrics.counter("namecache", "fallbacks")};
   }
 #endif
 }
@@ -118,6 +118,15 @@ Rt::SplitName Rt::split_dir_leaf(std::string_view name) {
   return {std::string_view{}, name};
 }
 
+V_HOT_PATH
+bool Rt::hint_fits_split(std::string_view name, SplitName split,
+                         std::size_t consumed) {
+  // The server's boundary may sit ON the separator our split strips.
+  const std::size_t leaf_start = name.size() - split.leaf.size();
+  return consumed == leaf_start ||
+         (consumed + 1 == leaf_start && name[consumed] == '/');
+}
+
 V_BORROWS_SPAN
 sim::Co<Result<Rt::OpenedFile>> Rt::open_resolved(std::string_view name,
                                                   std::uint16_t mode) {
@@ -127,18 +136,11 @@ sim::Co<Result<Rt::OpenedFile>> Rt::open_resolved(std::string_view name,
   const Message reply = co_await send_csname(request, name);
   if (reply.reply_code() != ReplyCode::kOk) co_return reply.reply_code();
   if (cache_ != nullptr) {
-    // Learn the directory binding from the piggybacked hint.  Only cache
-    // it when the server's leaf boundary agrees with our split — custom
-    // name syntaxes may disagree, and such a binding could not be reused.
+    // Learn the directory binding from the piggybacked hint.
     const ipc::BindingHint hint = self_.last_binding_hint();
     const SplitName split = split_dir_leaf(name);
-    // The server's boundary may sit ON the separator our split strips.
-    const std::size_t leaf_start = name.size() - split.leaf.size();
-    const std::size_t consumed = hint.consumed;
-    const bool boundary_agrees =
-        consumed == leaf_start ||
-        (consumed + 1 == leaf_start && name[consumed] == '/');
-    if (hint.valid() && !split.dir.empty() && boundary_agrees) {
+    if (hint.valid() && !split.dir.empty() &&
+        hint_fits_split(name, split, hint.consumed)) {
       cache_->put(split.dir,
                   NameCache::Binding{
                       {ipc::ProcessId{hint.server_pid}, hint.context_id},
@@ -186,9 +188,11 @@ sim::Co<Result<Rt::OpenedFile>> Rt::open_via_binding(
   if (reply.reply_code() != ReplyCode::kOk) co_return reply.reply_code();
   // Refresh the entry from the reply hint: a create-mode open legitimately
   // advanced the generation, and the next cached open must expect the new
-  // one.
+  // one.  Not when the leaf named a context (a subdirectory or a link):
+  // the hint then describes that context, and storing it under split.dir
+  // would send the directory's next open somewhere else.
   const ipc::BindingHint hint = self_.last_binding_hint();
-  if (hint.valid()) {
+  if (hint.valid() && hint_fits_split(name, split, hint.consumed)) {
     cache_->put(split.dir,
                 NameCache::Binding{
                     {ipc::ProcessId{hint.server_pid}, hint.context_id},
@@ -250,7 +254,8 @@ sim::Co<Result<Rt::OpenedFile>> Rt::open_via_rebind(std::string_view name,
     // Feed the repaired binding to the cache so the NEXT open goes to the
     // new incarnation in one hop.
     const ipc::BindingHint hint = self_.last_binding_hint();
-    if (hint.valid() && !split.dir.empty()) {
+    if (hint.valid() && !split.dir.empty() &&
+        hint_fits_split(name, split, hint.consumed)) {
       cache_->put(split.dir,
                   NameCache::Binding{
                       {ipc::ProcessId{hint.server_pid}, hint.context_id},
@@ -269,7 +274,7 @@ sim::Co<Result<Rt::OpenedFile>> Rt::open_detailed(std::string_view name,
     if (!split.dir.empty()) {
       if (const auto hit = cache_->find(split.dir)) {
 #if V_TRACE_ENABLED
-        self_.domain().metrics().counter("namecache", "hits").inc();
+        cache_counters_.hits->inc();
 #endif
         auto direct = co_await open_via_binding(name, mode, *hit, split);
         const ReplyCode code = direct.ok() ? ReplyCode::kOk : direct.code();
@@ -282,17 +287,17 @@ sim::Co<Result<Rt::OpenedFile>> Rt::open_detailed(std::string_view name,
         if (code == ReplyCode::kStaleContext) {
           cache_->note_stale();
 #if V_TRACE_ENABLED
-          self_.domain().metrics().counter("namecache", "stale").inc();
+          cache_counters_.stale->inc();
 #endif
         }
         cache_->erase(split.dir);
         cache_->note_fallback();
 #if V_TRACE_ENABLED
-        self_.domain().metrics().counter("namecache", "fallbacks").inc();
+        cache_counters_.fallbacks->inc();
 #endif
       } else {
 #if V_TRACE_ENABLED
-        self_.domain().metrics().counter("namecache", "misses").inc();
+        cache_counters_.misses->inc();
 #endif
       }
     }

@@ -26,6 +26,7 @@
 #include "msg/message.hpp"
 #include "naming/descriptor.hpp"
 #include "naming/types.hpp"
+#include "obs/metrics.hpp"
 #include "svc/file.hpp"
 #include "svc/name_cache.hpp"
 
@@ -222,6 +223,12 @@ class Rt {
     std::string_view leaf;
   };
   static SplitName split_dir_leaf(std::string_view name);
+  /// Does a binding hint's leaf boundary (`consumed`) agree with `split`?
+  /// A binding learned from a hint that does not is not one for
+  /// `split.dir`: custom name syntaxes may split differently, and a leaf
+  /// naming a context is interpreted past the boundary.
+  static bool hint_fits_split(std::string_view name, SplitName split,
+                              std::size_t consumed);
   static std::string bracket(std::string_view prefix);
 
   /// Full-resolution open (the pre-cache path); populates the cache from
@@ -247,6 +254,18 @@ class Rt {
   NameEnv env_;
   NameCache* cache_ = nullptr;
   RecoveryPolicy recovery_;
+#if V_TRACE_ENABLED
+  /// The [metrics]namecache counters, resolved by the first set_cache (the
+  /// registry keeps entries at stable addresses), so a cached open bumps
+  /// them without a string-keyed lookup.
+  struct CacheCounters {
+    obs::Counter* hits = nullptr;
+    obs::Counter* misses = nullptr;
+    obs::Counter* stale = nullptr;
+    obs::Counter* fallbacks = nullptr;
+  };
+  CacheCounters cache_counters_;
+#endif
 };
 
 }  // namespace v::svc

@@ -38,11 +38,12 @@ Forest::Forest(ForestSpec spec) : spec_(std::move(spec)) {
   rel_paths_.reserve(names_.capacity());
   for (std::size_t p = 0; p < spec_.prefixes; ++p) {
     for (std::size_t d = 0; d < spec_.dirs_per_prefix; ++d) {
-      std::string dir = fixed ? "d" + std::to_string(d)
-                              : component(rng) + std::to_string(d);
+      std::string dir = fixed ? std::string("d") : component(rng);
+      dir += std::to_string(d);
       for (std::size_t f = 0; f < spec_.files_per_dir; ++f) {
-        std::string leaf = fixed ? "f" + std::to_string(f) + ".dat"
-                                 : component(rng) + std::to_string(f);
+        std::string leaf = fixed ? std::string("f") : component(rng);
+        leaf += std::to_string(f);
+        if (fixed) leaf += ".dat";
         names_.push_back("[" + prefix_names_[p] + "]" + dir + "/" + leaf);
         rel_paths_.push_back(prefix_names_[p] + "/" + dir + "/" + leaf);
       }

@@ -29,7 +29,8 @@ TEST_P(IpcStorm, RandomTopologyDrainsConsistently) {
   const int n_hosts = 2 + static_cast<int>(rng() % 4);
   std::vector<Host*> hosts;
   for (int h = 0; h < n_hosts; ++h) {
-    hosts.push_back(&dom.add_host("h" + std::to_string(h)));
+    hosts.push_back(
+        &dom.add_host(std::string("h").append(std::to_string(h))));
   }
 
   // Echo servers scattered over the hosts; some will be crashed mid-run.
@@ -111,7 +112,7 @@ TEST_P(GroupStorm, GroupSendsAlwaysResolve) {
   const int n_members = 1 + static_cast<int>(rng() % 5);
   std::vector<Host*> member_hosts;
   for (int m = 0; m < n_members; ++m) {
-    auto& host = dom.add_host("m" + std::to_string(m));
+    auto& host = dom.add_host(std::string("m").append(std::to_string(m)));
     member_hosts.push_back(&host);
     host.spawn("member" + std::to_string(m), [](Process self) -> Co<void> {
       self.join_group(0xAB);
