@@ -5,9 +5,11 @@
 #   scripts/ci.sh          # plain RelWithDebInfo build + ctest; any
 #                          # compiler warning fails the build
 #   scripts/ci.sh asan     # Debug + -fsanitize=address,undefined + ctest
-#   scripts/ci.sh sanitize # UBSan run of test_engine + test_cached_open,
-#                          # plus a TSan build (build-only: the sim is
-#                          # single-threaded, TSan proves it still links)
+#   scripts/ci.sh sanitize # UBSan run of test_engine, test_cached_open and
+#                          # test_name_cache, plus a TSan build (build-only:
+#                          # the sim is single-threaded, TSan proves it
+#                          # still links).  The asan, ubsan and tsan builds
+#                          # treat warnings as errors, as the default does
 #   scripts/ci.sh lint     # clang-tidy over src/ (skips if not installed;
 #                          # skips unchanged files via a content-hash cache)
 #   scripts/ci.sh slint    # V-lint static analysis (tools/vlint): tree must
@@ -52,18 +54,18 @@ run_preset() {
 run_sanitize() {
   echo "==> sanitize (UBSan run + TSan build)"
   echo "==> sanitize: ubsan configure/build"
-  cmake --preset ubsan
+  cmake --preset ubsan -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
   cmake --build --preset ubsan -j "$(nproc)" --target \
-    test_engine test_cached_open
-  echo "==> sanitize: ubsan run (test_engine, test_cached_open)"
-  UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 \
-    ./build-ubsan/tests/test_engine
-  UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 \
-    ./build-ubsan/tests/test_cached_open
+    test_engine test_cached_open test_name_cache
+  echo "==> sanitize: ubsan run (test_engine, test_cached_open, test_name_cache)"
+  local t
+  for t in test_engine test_cached_open test_name_cache; do
+    UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 "./build-ubsan/tests/${t}"
+  done
   echo "==> sanitize: tsan build-only (the sim is single-threaded)"
-  cmake --preset tsan
+  cmake --preset tsan -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
   cmake --build --preset tsan -j "$(nproc)" --target \
-    test_engine test_cached_open
+    test_engine test_cached_open test_name_cache
   echo "sanitize OK"
 }
 
@@ -360,7 +362,7 @@ run_obs() {
 
 case "${1:-default}" in
   default) run_preset default -DCMAKE_COMPILE_WARNING_AS_ERROR=ON ;;
-  asan)    run_preset asan ;;
+  asan)    run_preset asan -DCMAKE_COMPILE_WARNING_AS_ERROR=ON ;;
   sanitize) run_sanitize ;;
   lint)    run_lint ;;
   slint)   run_slint ;;
@@ -373,7 +375,8 @@ case "${1:-default}" in
   fault)   run_fault ;;
   obs)     run_obs ;;
   all)     run_preset default -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
-           run_preset asan; run_sanitize; run_lint
+           run_preset asan -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
+           run_sanitize; run_lint
            run_slint; run_fuzz; run_chk_off; run_trace; run_bench_smoke
            run_scale; run_perf; run_fault; run_obs ;;
   *) echo "usage: $0 [default|asan|sanitize|lint|slint|fuzz|chk-off|trace|bench-smoke|scale|perf|fault|all|obs]" >&2

@@ -101,6 +101,13 @@ struct Envelope {
   /// `segments` instead of growing every envelope copy.
   bool retransmitted = false;
 #endif
+  /// Companion of `origin` below, declared here to fill the same alignment
+  /// gap: set by a server that consumed a `..` before forwarding
+  /// (simulation extra, PROTOCOL.md §11).  The forwarded component
+  /// followed the `..`, so the final binding hangs on entries its
+  /// context's generation does not cover, and the final server withholds
+  /// its binding hint.
+  bool climbed = false;
   Segments segments;     ///< the sender's exposed memory
   /// Fetch-once name attachment (name_span.hpp): empty until the first
   /// server fetches the request's name bytes, then carried by Forward so

@@ -521,6 +521,12 @@ sim::Co<void> CsnhServer::handle_csname(ipc::Process& self,
   const std::uint16_t code = env.request.code();
   const bool stop_before_last = defines_leaf(code);
   auto last_kind = LookupResult::Kind::kLocalContext;  // state of 'ctx'
+  // A `..` followed by more directory components ("a/b/../../c") lands in
+  // a context whose generation says nothing about the entries climbed
+  // through: renaming a/b bumps a and b's subtree, never c.  Such a walk
+  // gets no binding hint, so no client caches it (PROTOCOL.md 11).
+  bool climbed = false;
+  bool unhinted = env.climbed;
   for (;;) {
     std::size_t next = 0;
     const std::string_view component = parse_component(name, index, next);
@@ -533,6 +539,8 @@ sim::Co<void> CsnhServer::handle_csname(ipc::Process& self,
     const LookupResult found = co_await lookup(self, ctx, component);
     last_kind = found.kind;
     if (found.kind == LookupResult::Kind::kLocalContext) {
+      unhinted = unhinted || climbed;
+      climbed = climbed || component == "..";
       ctx = found.context;
       index = next;
       continue;
@@ -565,6 +573,7 @@ sim::Co<void> CsnhServer::handle_csname(ipc::Process& self,
         env.origin = ipc::BindingHint{pid_.raw, entry_ctx,
                                       generation(entry_ctx), 0};
       }
+      env.climbed = env.climbed || climbed;
 #if V_TRACE_ENABLED
       cached_counter(self, m_forwarded_, "forwarded").inc();
 #endif
@@ -702,8 +711,10 @@ sim::Co<void> CsnhServer::handle_csname(ipc::Process& self,
   // come straight back next time, stamped with the generation that lets us
   // refuse if the name space moves on (PROTOCOL.md 11; costs nothing).
   if (reply.code() == static_cast<std::uint16_t>(ReplyCode::kOk)) {
-    const ipc::BindingHint hint{pid_.raw, ctx, generation(ctx),
-                                static_cast<std::uint16_t>(index)};
+    const ipc::BindingHint hint =
+        unhinted ? ipc::BindingHint{}
+                 : ipc::BindingHint{pid_.raw, ctx, generation(ctx),
+                                    static_cast<std::uint16_t>(index)};
     self.reply_with_hint(reply, env.sender, hint, env.origin);
   } else {
     reply_csname(self, env, reply);

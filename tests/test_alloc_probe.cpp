@@ -3,16 +3,21 @@
 // coroutine frame pool warmed up, a Send/Receive/Reply transaction touches
 // the heap ZERO times — also under a fault plan, where every Send arms a
 // retransmission timer and every delivery passes the duplicate filter.
-// chk::alloc_probe counts every global operator new/delete in this binary
-// (the replacement operators link only here — see alloc_probe.hpp), and
-// these tests assert the zero.
+// The client's NameCache keeps the same promise for its hits and its
+// admission decisions.  chk::alloc_probe counts every global operator
+// new/delete in this binary (the replacement operators link only here —
+// see alloc_probe.hpp), and these tests assert the zero.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "chk/alloc_probe.hpp"
 #include "fault/fault.hpp"
 #include "ipc/kernel.hpp"
 #include "msg/message.hpp"
 #include "sim/frame_pool.hpp"
+#include "svc/name_cache.hpp"
 
 namespace v {
 namespace {
@@ -89,6 +94,37 @@ TEST(AllocProbe, WarmPingPongUnderFaultPlanAllocatesNothing) {
   EXPECT_EQ(plan.stats().retransmits, 0u);
 #endif
 #endif
+}
+
+TEST(AllocProbe, NameCacheHitsAndAdmissionAllocateNothing) {
+  if (!chk::alloc_probe_active()) {
+    GTEST_SKIP() << "probe inactive (sanitizer build owns the allocator)";
+  }
+  // Directory names past the small-string buffer, all of one length, so a
+  // replaced entry's key buffer fits its successor.
+  std::vector<std::string> dirs;
+  for (int i = 0; i < 16; ++i) {
+    dirs.push_back("[vol]n/n/n/prefix" + std::to_string(10 + i) + "/dir");
+  }
+  svc::NameCache cache(4);
+  // Three hot directories and a stream of one-off visitors: hits, misses,
+  // refused admissions and admissions that replace a victim.
+  auto replay = [&] {
+    for (int i = 0; i < 4'000; ++i) {
+      const std::string& dir = dirs[i % 5 == 0 ? (i / 5) % 16 : i % 3];
+      if (!cache.find(dir).has_value()) cache.put(dir, {});
+    }
+  };
+  replay();  // every slot holds a key buffer from here on
+  const std::uint64_t misses = cache.misses();
+  const std::uint64_t refused = cache.refused();
+  const std::uint64_t baseline = chk::alloc_counters().allocations;
+  replay();
+  const std::uint64_t delta = chk::alloc_counters().allocations - baseline;
+  EXPECT_EQ(delta, 0u) << delta << " heap allocations across a warm replay";
+  EXPECT_GT(cache.refused(), refused);
+  EXPECT_GT(cache.misses() - misses, cache.refused() - refused)
+      << "no admission replaced a victim";
 }
 
 }  // namespace

@@ -10,9 +10,14 @@
 //     entry is invalidated, and the fallback walk reports the truth;
 //   - concurrent invalidation: two worker processes sharing one cache, one
 //     of them churning the directory, stay correct and race-free;
+//   - a mid-path `..` ("usr/mann/../../bin/edit"): a walk the final
+//     context's generation cannot validate is never cached, so a rename
+//     above it answers as the uncached open does;
 //   - the model-checked matrix: two workstations sharing a cache interleave
 //     random mutations of every kind with cached opens on two servers, and
-//     every reply is compared with a sequential model of the name space;
+//     every reply is compared with a sequential model of the name space,
+//     once with a roomy cache and once with a 4-entry cache whose
+//     admission refusals and evictions interleave with the mutations;
 //   - the wire-level accounting: a warm hit is exactly ONE message
 //     transaction, its trace is a single hop span, the namecache counters
 //     are readable through Open("[metrics]namecache/..."), and malformed
@@ -307,6 +312,42 @@ TEST(CachedOpen, FuzzedConcurrentLeafChurnTwoWorkers) {
   }
 }
 
+// --- walks a hit could not validate ------------------------------------------------
+
+TEST(CachedOpen, MidPathDotDotReopenMatchesUncachedOpen) {
+  // A `..` followed by more directory components: renaming usr/mann bumps
+  // usr and mann's subtree but not bin, so a binding learned through
+  // "usr/mann/../../bin" would survive the rename and keep answering.  The
+  // server withholds the hint for such walks; the second name climbs on
+  // alpha and then forwards through the proj link, so beta learns of the
+  // `..` from the envelope.  After the rename, each cached reopen must
+  // answer exactly as the uncached open does.
+  VFixture fx;
+  fx.run_client([](ipc::Process, svc::Rt rt) -> Co<void> {
+    const std::string names[] = {"usr/mann/../../bin/edit",
+                                 "usr/../usr/mann/proj/readme"};
+    NameCache cache;
+    rt.set_cache(&cache);
+    co_await open_expect(rt, names[0], std::string(4096, 'E'));
+    co_await open_expect(rt, names[1], "public files live here");
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(co_await rt.rename("usr/mann", "m2"), ReplyCode::kOk);
+    for (const std::string& name : names) {
+      rt.set_cache(&cache);
+      auto cached = co_await rt.open(name, kOpenRead);
+      rt.set_cache(nullptr);
+      auto uncached = co_await rt.open(name, kOpenRead);
+      EXPECT_EQ(to_string(cached.code()), to_string(uncached.code())) << name;
+      EXPECT_EQ(uncached.code(), ReplyCode::kNotFound) << name;
+      for (auto* opened : {&cached, &uncached}) {
+        if (!opened->ok()) continue;
+        svc::File f = opened->take();
+        EXPECT_EQ(co_await f.close(), ReplyCode::kOk);
+      }
+    }
+  });
+}
+
 // --- model-checked mutation/reopen matrix ------------------------------------------
 
 /// Sequential model of two file servers' name spaces.  Server A's root
@@ -491,10 +532,12 @@ class MutationMatrix {
     std::uint64_t opens = 0;
     std::uint64_t hits = 0;
     std::uint64_t stale = 0;
+    std::uint64_t refused = 0;  ///< admissions the full cache declined
   };
 
-  MutationMatrix(std::uint64_t seed, Coverage& coverage)
-      : rng_(seed), coverage_(coverage) {
+  MutationMatrix(std::uint64_t seed, std::size_t cache_capacity,
+                 Coverage& coverage)
+      : cache_(cache_capacity), rng_(seed), coverage_(coverage) {
     dom_.loop().enable_fuzz(seed);
     build_forest();
   }
@@ -531,6 +574,7 @@ class MutationMatrix {
         << dom_.lint().first_dump();
     coverage_.hits += cache_.hits();
     coverage_.stale += cache_.stale();
+    coverage_.refused += cache_.refused();
   }
 
  private:
@@ -601,8 +645,8 @@ class MutationMatrix {
   }
 
   /// A random open target: a name opened before (the name space may have
-  /// moved since), a live file, a "dir/sub/../leaf" walk, or a random
-  /// leaf of a live directory.
+  /// moved since), a live file, a "dir/sub/../leaf" or mid-path
+  /// "dir/sub/../sub2/leaf" walk, or a random leaf of a live directory.
   std::string open_name() {
     const auto r = rng_() % 10;
     if (r < 4 && !history_.empty()) return pick(history_);
@@ -620,7 +664,14 @@ class MutationMatrix {
       for (const auto& [entry, id] : model_.at(dir).entries) {
         if (model_.at(id).kind == Kind::kDir) subs.push_back(entry);
       }
-      name = subs.empty() ? prefix + "f0" : prefix + pick(subs) + "/../f0";
+      if (subs.empty()) {
+        name = prefix + "f0";
+      } else if (rng_() % 2 == 0) {
+        name = prefix + pick(subs) + "/../f0";
+      } else {
+        const std::string up = pick(subs);
+        name = prefix + up + "/../" + pick(subs) + "/f0";
+      }
     } else if (rng_() % 2 == 0) {
       name = prefix + "f1";
     } else {
@@ -792,11 +843,13 @@ class MutationMatrix {
   sim::WaitQueue turns_;
 };
 
-TEST(CachedOpen, ModelCheckedMutationReopenMatrix) {
+/// Run the matrix over the sweep seeds with a shared cache of
+/// `cache_capacity` entries; returns what the sweep exercised.
+MutationMatrix::Coverage run_mutation_matrix(std::size_t cache_capacity) {
   MutationMatrix::Coverage coverage;
   for (const auto seed : sweep_seeds()) {
     SCOPED_TRACE(repro(seed, "mutation/reopen matrix"));
-    MutationMatrix matrix(seed, coverage);
+    MutationMatrix matrix(seed, cache_capacity, coverage);
     matrix.run();
     if (::testing::Test::HasFailure()) break;  // one seed's report is enough
   }
@@ -809,6 +862,20 @@ TEST(CachedOpen, ModelCheckedMutationReopenMatrix) {
   EXPECT_GE(coverage.opens, 100u);
   EXPECT_GE(coverage.hits, 1u);
   EXPECT_GE(coverage.stale, 1u);
+  return coverage;
+}
+
+TEST(CachedOpen, ModelCheckedMutationReopenMatrix) {
+  (void)run_mutation_matrix(64);
+}
+
+TEST(CachedOpen, ModelCheckedMutationReopenMatrixSmallCache) {
+  // Four entries against the matrix's dozens of directories: admission
+  // refusals and evictions interleave with every mutation kind, and the
+  // replies must still match the model exactly.  Admission decides only
+  // which bindings are kept, never what a reply says.
+  const auto coverage = run_mutation_matrix(4);
+  EXPECT_GE(coverage.refused, 1u);
 }
 
 // --- wire-level accounting --------------------------------------------------------
