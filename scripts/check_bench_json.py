@@ -28,7 +28,8 @@ Expected shape:
        "throughput_per_s": number, "p50_ms": number, "p99_ms": number,
        "flash_p99_ms": number, "map_fetches": int, "stale_retries": int,
        "noreply_retries": int, "handoffs": int, "handbacks": int}
-    ],
+    ],                             # a cell with a handoff or handback may
+                                   # not exceed 2 x hosts stale_retries
     "sections": [
       {"id": str, "title": str,
        "rows": [{"label": str, "measured_ms": number,
@@ -168,6 +169,15 @@ def check(path):
             if cell["wrong"] != 0:
                 return fail(path, f'{where}.wrong must be 0, '
                             f'got {cell["wrong"]}')
+            # Churn repair gate: each membership change (handoff,
+            # handback) steps a shard's generation once, so a client is
+            # refused about once per change.  More than two stale retries
+            # per host means refusals are repeating — a repair storm.
+            if (cell["handoffs"] or cell["handbacks"]) and \
+                    cell["stale_retries"] > 2 * cell["hosts"]:
+                return fail(path, f'{where}.stale_retries '
+                            f'{cell["stale_retries"]} exceeds 2 x hosts '
+                            f'({2 * cell["hosts"]}) on a churn cell')
             extra = set(cell) - {"cell", "shards", "hosts", "opens",
                                  "errors", "wrong", "throughput_per_s",
                                  "p50_ms", "p99_ms", "flash_p99_ms",

@@ -7,12 +7,24 @@ namespace v::fault {
 FaultPlan::FaultPlan(std::uint64_t seed) : rng_(seed) {}
 
 void FaultPlan::set_default_link(const LinkFaults& faults) {
+  note_rates(faults);
   default_link_ = faults;
 }
 
 void FaultPlan::set_link(std::uint16_t from, std::uint16_t to,
                          const LinkFaults& faults) {
+  note_rates(faults);
   links_[link_key(from, to)] = faults;
+}
+
+void FaultPlan::note_rates(const LinkFaults& faults) {
+  if (drawing_) return;
+  if (!(faults.drop > 0 || faults.duplicate > 0 || faults.reorder > 0)) {
+    return;
+  }
+  rng_.engine().discard(kDrawsPerPacket * undrawn_);
+  undrawn_ = 0;
+  drawing_ = true;
 }
 
 void FaultPlan::set_retry(const RetryPolicy& policy) { retry_ = policy; }
@@ -45,8 +57,13 @@ const LinkFaults& FaultPlan::link(std::uint16_t from,
 
 PacketDecision FaultPlan::on_packet(std::uint16_t from, std::uint16_t to) {
   ++stats_.packets_seen;
+  if (!drawing_) {
+    ++undrawn_;  // every rate is zero: the verdict is "deliver"
+    return {};
+  }
   const LinkFaults& lf = link(from, to);
-  // Always draw exactly four variates so the random stream keeps its shape
+  // Always draw exactly kDrawsPerPacket variates (uniform01 takes one
+  // engine output each) so the random stream keeps its shape
   // regardless of rates or outcomes: a seed produces the "same run" at
   // every loss rate, just with different verdicts.
   const bool drop = rng_.chance(lf.drop);

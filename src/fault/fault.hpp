@@ -132,7 +132,10 @@ class FaultPlan {
   }
 
   /// Decide the fate of one packet crossing `from` -> `to`.  Draws a fixed
-  /// number of variates per call regardless of outcome.
+  /// number of variates per call regardless of outcome.  While no rate of
+  /// any link is above zero every verdict is "deliver", so the draws are
+  /// only counted; the first setter that turns a rate on skips the engine
+  /// past them, and every later verdict is the one eager drawing gives.
   [[nodiscard]] PacketDecision on_packet(std::uint16_t from,
                                          std::uint16_t to);
 
@@ -145,8 +148,16 @@ class FaultPlan {
   static std::uint32_t link_key(std::uint16_t from, std::uint16_t to) noexcept {
     return (std::uint32_t{from} << 16) | to;
   }
+  /// Start drawing if `faults` turns any rate on, first discarding the
+  /// variates the packets seen so far would have drawn.
+  void note_rates(const LinkFaults& faults);
+
+  /// Variates one packet draws; each is one engine output.
+  static constexpr std::uint64_t kDrawsPerPacket = 4;
 
   sim::Rng rng_;
+  bool drawing_ = false;        ///< some rate is (or was) above zero
+  std::uint64_t undrawn_ = 0;   ///< packets seen before drawing_
   LinkFaults default_link_;
   /// Per-link overrides keyed (from << 16) | to, probed once per packet.
   FlatMap<std::uint32_t, LinkFaults> links_;

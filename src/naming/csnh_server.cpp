@@ -435,6 +435,29 @@ void CsnhServer::reply_csname(ipc::Process& self, const ipc::Envelope& env,
   self.reply(reply, env.sender);
 }
 
+bool CsnhServer::refuse_by_header(ipc::Process& self,
+                                  const ipc::Envelope& env, ContextId ctx) {
+  if (!context_valid(ctx)) {
+    reply_csname(self, env, msg::make_reply(ReplyCode::kInvalidContext));
+    return true;
+  }
+  // Validated caching (PROTOCOL.md 11): a client that learned this context
+  // through a binding hint or a shard map may quote the generation it
+  // expects.  If the name space changed since (any gated mutation of a
+  // context-valued entry bumps the generation), we answer kStaleContext
+  // INSTEAD of interpreting against a name space the client no longer
+  // means — the §2.2 silent-wrong-answer, made loud.
+  if (msg::cs::has_expected_generation(env.request) &&
+      msg::cs::expected_generation(env.request) != generation(ctx)) {
+#if V_TRACE_ENABLED
+    cached_counter(self, m_stale_context_, "stale_context").inc();
+#endif
+    reply_csname(self, env, msg::make_reply(ReplyCode::kStaleContext));
+    return true;
+  }
+  return false;
+}
+
 bool CsnhServer::defines_leaf(std::uint16_t code) noexcept {
   switch (code) {
     case RequestCode::kAddContextName:
@@ -457,14 +480,24 @@ bool CsnhServer::defines_leaf(std::uint16_t code) noexcept {
 V_BORROWS_SPAN
 sim::Co<void> CsnhServer::handle_csname(ipc::Process& self,
                                         ipc::Envelope& env) {
-  // 1. Fetch the name bytes from the (possibly distant) original sender's
-  //    segment.  This cost is why remote Opens are more expensive than a
-  //    bare remote transaction (section 6).
+  // 1. Refuse whatever the 32-byte header alone settles, before a single
+  //    name byte moves or the parse is charged (PROTOCOL.md 11): a refused
+  //    request costs its two hops and nothing else.
   const std::uint16_t name_len = msg::cs::name_length(env.request);
-  if (name_len > kMaxNameLength) {
+  std::size_t index = msg::cs::name_index(env.request);
+  if (name_len > kMaxNameLength || index > name_len) {
     reply_csname(self, env, msg::make_reply(ReplyCode::kBadArgs));
     co_return;
   }
+  // Initialize CurrentContext from the request (the server-pid half of the
+  // context is implicit: the message arrived here).
+  ContextId ctx = translate_context(msg::cs::context_id(env.request));
+  if (refuse_by_header(self, env, ctx)) co_return;
+  const ContextId entry_ctx = ctx;  ///< context the sender addressed here
+
+  // 2. Fetch the name bytes from the (possibly distant) original sender's
+  //    segment.  This cost is why remote Opens are more expensive than a
+  //    bare remote transaction (section 6).
   std::string_view name;
   if (name_len > 0) {
     // Fetch-once: the first server on the chain pays the host-side copy
@@ -486,34 +519,12 @@ sim::Co<void> CsnhServer::handle_csname(ipc::Process& self,
     name = fetched.value();
   }
   co_await self.compute(parse_cost(self, name));
-
-  // 2. Initialize CurrentContext from the request (the server-pid half of
-  //    the context is implicit: the message arrived here).
-  std::size_t index = msg::cs::name_index(env.request);
-  if (index > name.size()) {
-    reply_csname(self, env, msg::make_reply(ReplyCode::kBadArgs));
-    co_return;
-  }
-  ContextId ctx = translate_context(msg::cs::context_id(env.request));
-  if (!context_valid(ctx)) {
-    reply_csname(self, env, msg::make_reply(ReplyCode::kInvalidContext));
-    co_return;
-  }
-  // Validated caching (PROTOCOL.md 11): a client that learned this context
-  // through a binding hint may quote the generation it expects.  If the
-  // name space changed since (any gated mutation of a context-valued entry
-  // bumps the generation), we answer kStaleContext INSTEAD of interpreting
-  // against a name space the client no longer means — the §2.2
-  // silent-wrong-answer, made loud.
-  if (msg::cs::has_expected_generation(env.request) &&
-      msg::cs::expected_generation(env.request) != generation(ctx)) {
-#if V_TRACE_ENABLED
-    cached_counter(self, m_stale_context_, "stale_context").inc();
-#endif
-    reply_csname(self, env, msg::make_reply(ReplyCode::kStaleContext));
-    co_return;
-  }
-  const ContextId entry_ctx = ctx;  ///< context the sender addressed here
+  // Another team worker may have mutated (or removed) the context while
+  // the name moved and parsed: settle the header again against the state
+  // the walk is about to read, so a request that went stale in flight is
+  // still refused rather than interpreted against a name space it never
+  // meant.
+  if (refuse_by_header(self, env, ctx)) co_return;
 
   // 3. Interpret components left to right, updating CurrentContext; when a
   //    component names a context on another server, rewrite the standard
@@ -701,9 +712,11 @@ sim::Co<void> CsnhServer::handle_csname(ipc::Process& self,
   // the bump is race-detector clean and ordered with the mutation it
   // records).  A create, remove or rename of a plain object leaves it: no
   // cached binding walked through that entry, and a validated hit
-  // interprets the leaf afresh (PROTOCOL.md 11).
+  // interprets the leaf afresh (PROTOCOL.md 11).  A server may fold a
+  // sender's batch of edits into one step (steps_generation).
   if (reply.code() == static_cast<std::uint16_t>(ReplyCode::kOk) &&
-      mutating && (leaf_was_context || names_context(ctx, leaf))) {
+      mutating && (leaf_was_context || names_context(ctx, leaf)) &&
+      steps_generation(env, ctx)) {
     bump_generation(self, ctx);
   }
   // Piggyback the binding hint on success: interpretation ended HERE, in

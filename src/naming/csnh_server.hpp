@@ -212,6 +212,18 @@ class CsnhServer {
     return true;
   }
 
+  /// Does the successful mutation that `env` asked for, of a context-valued
+  /// entry of `ctx` (names_context said yes), advance `ctx`'s generation?
+  /// Asked under the mutation gate, once per such mutation, just before
+  /// the bump.  A server may fold a batch of edits from one known sender
+  /// into a single step when no published binding can observe the edits
+  /// in between (the shard fabric's membership changes, DESIGN.md 4m).
+  /// Host-side: no simulated cost, never suspends.  Default: yes.
+  [[nodiscard]] virtual bool steps_generation(const ipc::Envelope& /*env*/,
+                                              ContextId /*ctx*/) {
+    return true;
+  }
+
   /// Split off the component of `name` starting at `index` (also skipping
   /// syntax like separators); sets `next` to where the next one begins.
   /// Default: '/'-separated.  Override for foreign syntaxes.
@@ -394,6 +406,12 @@ class CsnhServer {
  private:
   /// One worker process: pull envelopes from the team queue, dispatch.
   sim::Co<void> worker_loop(ipc::Process self);
+
+  /// Answer kInvalidContext or kStaleContext when the header alone settles
+  /// the request against `ctx`'s current state; true when it replied.
+  /// Host-side and immediate: no simulated cost, never suspends.
+  bool refuse_by_header(ipc::Process& self, const ipc::Envelope& env,
+                        ContextId ctx);
 
   // --- mutating-op serialization guard ---------------------------------------
   // The serial loop implicitly ordered ALL operations; a worker pool keeps

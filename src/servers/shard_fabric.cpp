@@ -46,6 +46,11 @@ sim::Co<msg::Message> ShardPrefixServer::handle_custom(ipc::Process& self,
   co_return reply;
 }
 
+bool ShardPrefixServer::steps_generation(const ipc::Envelope& env,
+                                         naming::ContextId /*ctx*/) {
+  return fabric_->agent_steps(env.sender);
+}
+
 ShardFabric::ShardFabric(ipc::Domain& dom, Config cfg)
     : dom_(dom), cfg_(cfg) {}
 
@@ -147,7 +152,11 @@ void ShardFabric::on_crash(std::size_t i) {
   // kNotFound — a wrong answer.  Published-but-dead only costs kNoReply
   // retries, which the router absorbs.
   const sim::SimTime started = dom_.now();
-  shards_[succ].host->spawn(
+  // The handoff's adds lie outside every range a published map routes to
+  // the successor until complete_handoff publishes, so no binding a client
+  // can quote observes them one by one: the change steps the successor's
+  // generation once, on its first add.
+  const ipc::ProcessId agent = shards_[succ].host->spawn(
       "handoff" + std::to_string(i),
       // vlint: allow(coro-param-lifetime): spawn keeps the closure alive in ProcessRecord::body_keepalive for the process lifetime
       [this, i, succ, started](ipc::Process self) -> sim::Co<void> {
@@ -174,6 +183,7 @@ void ShardFabric::on_crash(std::size_t i) {
         }
         complete_handoff(i, succ, sim::to_ms(self.now() - started));
       });
+  agents_.push_back(Agent{agent});
 }
 
 void ShardFabric::complete_handoff(std::size_t i, std::size_t succ,
@@ -205,8 +215,11 @@ void ShardFabric::on_restart(std::size_t i) {
   sh.lo = sh.home_lo;
   shards_[succ].lo = shards_[succ].home_lo;
   ++version_;
+  // That map routes the range away from the successor BEFORE the first
+  // retire, so any request quoting the successor's post-step generation
+  // already goes elsewhere for it: the whole handback is one step.
   const sim::SimTime started = dom_.now();
-  sh.host->spawn(
+  const ipc::ProcessId agent = sh.host->spawn(
       "handback" + std::to_string(i),
       // vlint: allow(coro-param-lifetime): spawn keeps the closure alive in ProcessRecord::body_keepalive for the process lifetime
       [this, i, succ, started](ipc::Process self) -> sim::Co<void> {
@@ -219,11 +232,22 @@ void ShardFabric::on_restart(std::size_t i) {
         }
         complete_handback(succ, sim::to_ms(self.now() - started));
       });
+  agents_.push_back(Agent{agent});
 }
 
 void ShardFabric::complete_handback(std::size_t /*succ*/, double took_ms) {
   ++churn_.handbacks;
   churn_.last_handback_ms = took_ms;
+}
+
+bool ShardFabric::agent_steps(ipc::ProcessId sender) {
+  for (Agent& a : agents_) {
+    if (a.pid != sender) continue;
+    const bool first = !a.stepped;
+    a.stepped = true;
+    return first;
+  }
+  return true;  // anyone else's edit steps, as ever
 }
 
 }  // namespace v::servers

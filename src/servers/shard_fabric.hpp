@@ -21,8 +21,9 @@
 //     the PR 4 machinery — never answered wrongly;
 //   * membership churn (v::fault crash/restart schedules) triggers shard
 //     HANDOFF: a coordinator agent replays the dead shard's bindings into
-//     a successor through the ordinary AddContextName protocol (gated,
-//     generation-bumping), then publishes a new map version.  Clients
+//     a successor through the ordinary AddContextName protocol (gated),
+//     then publishes a new map version.  The whole change steps the
+//     successor's generation once, on the agent's first edit.  Clients
 //     follow via kNoReply/kStaleContext -> refetch, the same repair loop
 //     the paper's section 4 rebinding uses.
 #pragma once
@@ -60,6 +61,11 @@ class ShardPrefixServer : public ContextPrefixServer {
   [[nodiscard]] bool express_lane(const msg::Message& req) const override {
     return req.code() == msg::kFetchShardMap;
   }
+
+  /// One generation step per membership change: an edit from the fabric's
+  /// handoff or handback agent steps only if it is that change's first.
+  [[nodiscard]] bool steps_generation(const ipc::Envelope& env,
+                                      naming::ContextId ctx) override;
 
  private:
   ShardFabric* fabric_;
@@ -160,12 +166,23 @@ class ShardFabric {
   [[nodiscard]] std::size_t successor_of(std::size_t i) const;
   void complete_handoff(std::size_t i, std::size_t succ, double took_ms);
   void complete_handback(std::size_t succ, double took_ms);
+  /// Called by a shard for each generation-stepping edit it commits: false
+  /// when `sender` is a membership-change agent that already stepped.
+  [[nodiscard]] bool agent_steps(ipc::ProcessId sender);
+
+  /// A handoff or handback agent the fabric spawned.  Its edits fold into
+  /// one generation step: the first steps, the rest do not (DESIGN.md 4m).
+  struct Agent {
+    ipc::ProcessId pid;
+    bool stepped = false;
+  };
 
   ipc::Domain& dom_;
   Config cfg_;
   std::vector<Shard> shards_;
   std::uint32_t version_ = 0;
   std::size_t absorbed_by_ = 0;  ///< successor of the in-churn shard
+  std::vector<Agent> agents_;
   ChurnStats churn_;
 };
 

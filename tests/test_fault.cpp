@@ -83,6 +83,44 @@ TEST(FaultPlan, PerLinkOverridesBeatTheDefault) {
   }
 }
 
+TEST(FaultPlan, LossTurnedOnLateMatchesEagerDraws) {
+  // A plan with every rate at zero only counts its packets; turning a rate
+  // on later must leave the random stream exactly where drawing all along
+  // would have.  The eager reference draws from packet 0 because a rate is
+  // already on, for a link no packet here crosses.  Both setters are
+  // exercised: the default link and a per-link override.
+  fault::LinkFaults lossy;
+  lossy.drop = 0.2;
+  lossy.duplicate = 0.2;
+  lossy.reorder = 0.2;
+  for (const bool per_link : {false, true}) {
+    fault::FaultPlan late(9);
+    fault::FaultPlan eager(9);
+    eager.set_link(40, 41, lossy);
+    constexpr int kQuiet = 257;
+    for (int i = 0; i < 1000; ++i) {
+      if (i == kQuiet) {
+        if (per_link) {
+          late.set_link(1, 2, lossy);
+          eager.set_link(1, 2, lossy);
+        } else {
+          late.set_default_link(lossy);
+          eager.set_default_link(lossy);
+        }
+      }
+      const auto dl = late.on_packet(1, 2);
+      const auto de = eager.on_packet(1, 2);
+      ASSERT_EQ(dl.drop, de.drop) << "packet " << i;
+      ASSERT_EQ(dl.duplicate, de.duplicate) << "packet " << i;
+      ASSERT_EQ(dl.extra_delay, de.extra_delay) << "packet " << i;
+      ASSERT_EQ(dl.dup_delay, de.dup_delay) << "packet " << i;
+    }
+    EXPECT_EQ(late.stats().packets_seen, eager.stats().packets_seen);
+    EXPECT_EQ(late.stats().drops, eager.stats().drops);
+    EXPECT_GT(late.stats().drops, 0u);
+  }
+}
+
 // --- kernel reliable transactions -------------------------------------------
 
 /// A server whose replies echo a per-request execution count: processing

@@ -16,6 +16,49 @@ using sim::Co;
 using sim::kMillisecond;
 using test::VFixture;
 
+/// Open `name` through `rt` quoting a generation the prefix table never
+/// had, expect kStaleContext, and return the simulated time it took.
+Co<sim::SimDuration> stale_open_took(ipc::Process self, svc::Rt& rt,
+                                     std::string name) {
+  auto req = msg::cs::make_request(msg::kCreateInstance,
+                                   naming::kDefaultContext, 0, kOpenRead);
+  msg::cs::set_expected_generation(req, 0xfffffffe);  // never allocated
+  const sim::SimTime sent = self.now();
+  const auto reply = co_await rt.send_csname(req, name);
+  EXPECT_EQ(reply.reply_code(), ReplyCode::kStaleContext);
+  co_return self.now() - sent;
+}
+
+TEST(PrefixServer, StaleGenerationIsRefusedFromTheHeaderAlone) {
+  // PROTOCOL.md 11: a request quoting an out-of-date generation is refused
+  // before a single name byte moves and before the prefix server charges
+  // its per-request processing: it costs the stub's send_build and its
+  // two hops, nothing more.  A client on the prefix server's host and one
+  // across the wire (whose name would otherwise be copied) both see it.
+  VFixture fx;
+  const std::string name = "[alpha]usr/mann/naming.mss";
+  sim::SimDuration far_took = -1;
+  std::uint64_t far_moves = 0, far_bytes = 0;
+  fx.fs2.spawn("far-client", [&](ipc::Process self) -> Co<void> {
+    co_await self.delay(100 * kMillisecond);  // after the local client
+    svc::Rt rt(self, svc::NameEnv{.prefix_server = fx.prefix_pid,
+                                  .current = {}});
+    const auto before = fx.dom.stats();
+    far_took = co_await stale_open_took(self, rt, name);
+    far_moves = fx.dom.stats().moves - before.moves;
+    far_bytes = fx.dom.stats().bytes_moved - before.bytes_moved;
+  });
+  fx.run_client([&fx, &name](ipc::Process self, svc::Rt rt) -> Co<void> {
+    const sim::SimDuration took = co_await stale_open_took(self, rt, name);
+    EXPECT_EQ(took, self.params().send_build + 2 * self.params().hop(true));
+    EXPECT_LT(took, fx.dom.params().prefix_processing);
+  });
+  EXPECT_EQ(far_took,
+            fx.dom.params().send_build + 2 * fx.dom.params().hop(false));
+  EXPECT_EQ(far_moves, 0u);
+  EXPECT_EQ(far_bytes, 0u);
+}
+
 TEST(PrefixServer, PrefixedOpenRoutesToTargetServer) {
   VFixture fx;
   fx.run_client([&fx](ipc::Process, svc::Rt rt) -> Co<void> {

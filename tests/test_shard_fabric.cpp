@@ -233,6 +233,18 @@ TEST(ShardFabric, StaleMapIsRefusedThenRepaired) {
   EXPECT_EQ(stats.failures, 0u);
 }
 
+/// Crash shard `i` at `crash_ms` and restart it at `restart_ms`: one
+/// handoff to its successor, then one handback.
+void schedule_churn(FabricFixture& fx, std::size_t i, std::int64_t crash_ms,
+                    std::int64_t restart_ms) {
+  fx.dom.loop().schedule_at(crash_ms * kMillisecond, [&fx, i] {
+    fx.fabric.host(i).crash();
+    fx.fabric.on_crash(i);
+  });
+  fx.dom.loop().schedule_at(restart_ms * kMillisecond,
+                            [&fx, i] { fx.fabric.on_restart(i); });
+}
+
 TEST(ShardFabric, CrashHandoffRestartHandbackZeroWrong) {
   FabricFixture fx(4, FabricFixture::small_spec());
   const std::uint32_t v0 = fx.fabric.map_version();
@@ -240,13 +252,7 @@ TEST(ShardFabric, CrashHandoffRestartHandbackZeroWrong) {
   // Kill shard 1 at 400 ms, bring it back at 900 ms.  The fabric hands its
   // range to a successor, then hands it back — all through the gated
   // protocol, all while the client below keeps opening shard 1's files.
-  fx.dom.loop().schedule_at(400 * kMillisecond, [&fx] {
-    fx.fabric.host(1).crash();
-    fx.fabric.on_crash(1);
-  });
-  fx.dom.loop().schedule_at(900 * kMillisecond, [&fx] {
-    fx.fabric.on_restart(1);
-  });
+  schedule_churn(fx, 1, 400, 900);
 
   int oks = 0, wrong = 0, hard_failures = 0;
   svc::ShardRouter::Stats stats;
@@ -283,6 +289,168 @@ TEST(ShardFabric, CrashHandoffRestartHandbackZeroWrong) {
   EXPECT_GE(stats.map_fetches, 3u);
   EXPECT_GT(stats.noreply_retries + stats.stale_retries, 0u);
   EXPECT_EQ(stats.failures, 0u);
+}
+
+/// A file under the greatest prefix p with lo <= p < hi (hi empty = no
+/// bound): the last binding of that shard range a handback retires.
+std::string last_file_of_range(const wload::Forest& forest,
+                               const std::string& lo, const std::string& hi) {
+  std::size_t best = forest.file_count();
+  for (std::size_t f = 0; f < forest.file_count(); ++f) {
+    const std::string& p = forest.prefix(forest.prefix_of(f));
+    if (p < lo || (!hi.empty() && p >= hi)) continue;
+    if (best == forest.file_count() ||
+        p > forest.prefix(forest.prefix_of(best))) {
+      best = f;
+    }
+  }
+  return best == forest.file_count() ? std::string() : forest.name(best);
+}
+
+TEST(ShardFabric, PreRestartMapIsRefusedForTheLastHandedBackPrefix) {
+  // A client whose map predates the restart still routes shard 1's range
+  // to the successor.  Once the handback has retired every copy, opening
+  // the LAST prefix it retired must be refused from the header (the
+  // successor's generation stepped on the handback's first retire), then
+  // answered with the right bytes by the restored shard — never kNotFound.
+  FabricFixture fx(4, FabricFixture::small_spec());
+  schedule_churn(fx, 1, 400, 900);
+
+  int wrong = 0;
+  ipc::Host& ws = fx.dom.add_host("ws");
+  ws.spawn("client", [&](ipc::Process self) -> sim::Co<void> {
+    svc::Rt rt(self, svc::NameEnv{});
+    svc::ShardRouter router(rt, {.fabric_group = fx.fabric.group()});
+    EXPECT_TRUE(co_await FabricFixture::open_verify(router, fx.forest.name(0),
+                                                    wrong));
+    const std::string last = last_file_of_range(
+        fx.forest, router.map().shards[1].lo, router.map().shards[2].lo);
+    EXPECT_FALSE(last.empty());
+    const std::string prefix = last.substr(1, last.find(']') - 1);
+
+    // After the handoff: learn the map that routes the range to shard 0.
+    co_await self.delay(800 * kMillisecond - self.now());
+    EXPECT_EQ(fx.fabric.churn_stats().handoffs, 1u);
+    router.invalidate();
+    EXPECT_TRUE(co_await FabricFixture::open_verify(router, last, wrong));
+    const naming::ShardMap stale = router.map();
+    const ShardMap::Shard owner = stale.shards[stale.route(prefix)];
+    EXPECT_EQ(owner.server_pid, fx.fabric.pid(0).raw);
+
+    while (fx.fabric.churn_stats().handbacks == 0) {
+      co_await self.delay(10 * kMillisecond);
+    }
+    // The refusal costs the stub and two hops: no name moved, no parse.
+    const sim::SimTime sent = self.now();
+    const msg::Message refused = co_await rt.open_at(
+        {ipc::ProcessId{owner.server_pid}, naming::kDefaultContext}, last, 0,
+        naming::wire::kOpenRead, owner.generation);
+    EXPECT_EQ(refused.reply_code(), ReplyCode::kStaleContext);
+    EXPECT_EQ(self.now() - sent,
+              self.params().send_build + 2 * self.params().hop(false));
+
+    // The router, still on the same map, repairs in one refetch.
+    const auto before = router.stats();
+    EXPECT_TRUE(co_await FabricFixture::open_verify(router, last, wrong));
+    EXPECT_EQ(router.stats().stale_retries - before.stale_retries, 1u);
+    EXPECT_EQ(router.map().shards[router.map().route(prefix)].server_pid,
+              fx.fabric.pid(1).raw);
+  });
+  fx.dom.run();
+
+  EXPECT_EQ(fx.dom.process_failures(), 0u) << fx.dom.first_failure();
+  EXPECT_EQ(wrong, 0);
+  EXPECT_EQ(fx.fabric.churn_stats().handbacks, 1u);
+}
+
+TEST(ShardFabric, NonAgentEditDuringHandbackStillSteps) {
+  // A membership change steps the successor's generation once, on the
+  // agent's first edit; an edit from anyone else still steps it as ever.
+  wload::ForestSpec spec = FabricFixture::small_spec();
+  spec.prefixes = 64;  // 16 bindings per shard: a handback with a middle
+  FabricFixture fx(4, spec);
+  schedule_churn(fx, 1, 400, 900);
+
+  ipc::Host& ws = fx.dom.add_host("admin-ws");
+  ws.spawn("admin", [&](ipc::Process self) -> sim::Co<void> {
+    servers::ShardPrefixServer& succ = fx.fabric.server(0);
+    co_await self.delay(900 * kMillisecond - self.now());
+    const std::uint32_t at_restart = succ.generation(naming::kDefaultContext);
+    while (succ.generation(naming::kDefaultContext) == at_restart) {
+      co_await self.delay(kMillisecond);  // the handback's first retire
+    }
+    const std::uint32_t stepped = succ.generation(naming::kDefaultContext);
+    EXPECT_EQ(fx.fabric.churn_stats().handbacks, 0u);
+
+    svc::Rt admin(self, svc::NameEnv{
+        .prefix_server = fx.fabric.pid(0),
+        .current = {fx.fabric.pid(0), naming::kDefaultContext}});
+    EXPECT_EQ(co_await admin.add_prefix(
+                  "aaa-admin", {fx.fabric.pid(0), naming::kDefaultContext}),
+              ReplyCode::kOk);
+    EXPECT_EQ(fx.fabric.churn_stats().handbacks, 0u);
+    const std::uint32_t admin_step =
+        succ.generation(naming::kDefaultContext);
+    EXPECT_NE(admin_step, stepped);
+
+    // The rest of the handback's retires fold into its first step.
+    while (fx.fabric.churn_stats().handbacks == 0) {
+      co_await self.delay(10 * kMillisecond);
+    }
+    EXPECT_EQ(succ.generation(naming::kDefaultContext), admin_step);
+  });
+  fx.dom.run();
+
+  EXPECT_EQ(fx.dom.process_failures(), 0u) << fx.dom.first_failure();
+  EXPECT_EQ(fx.fabric.churn_stats().handbacks, 1u);
+}
+
+TEST(ShardFabric, SixteenClientsChurnWithFewStaleRetries) {
+  // Sixteen clients open across all four shards through a crash, the
+  // handoff, the restart and the handback.  Each membership change steps
+  // a shard's generation once, so a client is refused at most about once
+  // per change; a step per moved binding would refuse every client again
+  // after each one.
+  wload::ForestSpec spec = FabricFixture::small_spec();
+  spec.prefixes = 64;
+  FabricFixture fx(4, spec);
+  schedule_churn(fx, 1, 400, 900);
+
+  constexpr std::size_t kClients = 16;
+  constexpr std::uint64_t kChanges = 2;  // handoff + handback
+  int wrong = 0, hard_failures = 0;
+  std::vector<svc::ShardRouter::Stats> stats(kClients);
+  for (std::size_t c = 0; c < kClients; ++c) {
+    ipc::Host& ws = fx.dom.add_host("ws" + std::to_string(c));
+    ws.spawn("client", [&, c](ipc::Process self) -> sim::Co<void> {
+      svc::Rt rt(self, svc::NameEnv{});
+      svc::ShardRouter router(rt, {.fabric_group = fx.fabric.group()});
+      std::size_t f = c * 17 % fx.forest.file_count();
+      while (self.now() < 1600 * kMillisecond) {
+        if (!co_await FabricFixture::open_verify(router, fx.forest.name(f),
+                                                 wrong)) {
+          ++hard_failures;
+        }
+        f = (f + 7) % fx.forest.file_count();
+        co_await self.delay(10 * kMillisecond);
+      }
+      stats[c] = router.stats();
+    });
+  }
+  fx.dom.run();
+
+  EXPECT_EQ(fx.dom.process_failures(), 0u) << fx.dom.first_failure();
+  EXPECT_EQ(wrong, 0);
+  EXPECT_EQ(hard_failures, 0);
+  EXPECT_EQ(fx.fabric.churn_stats().handoffs, 1u);
+  EXPECT_EQ(fx.fabric.churn_stats().handbacks, 1u);
+  std::uint64_t total_stale = 0;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    EXPECT_LE(stats[c].stale_retries, 2 * kChanges) << "client " << c;
+    EXPECT_EQ(stats[c].failures, 0u) << "client " << c;
+    total_stale += stats[c].stale_retries;
+  }
+  EXPECT_GT(total_stale, 0u);  // the churn was actually seen
 }
 
 TEST(ShardFabric, SingleShardDegeneratesToOneTeam) {

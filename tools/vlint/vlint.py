@@ -2,14 +2,15 @@
 """V-lint: static analysis for the V-naming tree's concurrency and protocol
 invariants (DESIGN.md 4j).
 
-Five rules, each with a seeded must-fail fixture under tools/vlint/fixtures/:
+Five rules, each with a seeded must-fail fixture under tools/vlint/fixtures/
+(a fixture whose EXPECT names no rule must instead stay clean):
 
   gate-generation     Every V_GATED_MUTATION hook calls note_name_write() on
-                      every path before returning success; every call site of
-                      a gated hook bumps the context generation (or is itself
-                      a gated hook, or carries a justified suppression).
-                      Every mutation-hook override in src/servers/ +
-                      src/naming/csnh_server.cpp must carry the annotation.
+                      every path before returning success.  In src/servers/ +
+                      src/naming/csnh_server.cpp, every call site of a gated
+                      hook bumps the context generation (or is itself a gated
+                      hook, or carries a justified suppression), and every
+                      mutation-hook override carries the annotation.
   suspend-under-gate  No co_await of a sim::WaitQueue wait or a kernel
                       send/receive while a mutation-gate guard is held
                       (between `co_await <gate>` and the guard's scope end).
@@ -548,6 +549,19 @@ def _read_branch(toks, s, e):
     return s, e, e
 
 
+def _gate_in_scope(path):
+    """Server-side code, where gated mutation hooks live: src/servers/, the
+    CSNH base and the fixtures.  A fixture file nested in a subdirectory is
+    judged by its path below the fixture directory, as a tree file is."""
+    path = "/" + path.replace(os.sep, "/")
+    if "/fixtures/" in path:
+        below = path.split("/fixtures/", 1)[1].split("/", 1)
+        if len(below) < 2 or "/" not in below[1]:
+            return True
+        path = "/" + below[1]
+    return "/servers/" in path or path.endswith("/naming/csnh_server.cpp")
+
+
 def rule_gate(index, failure_codes, findings):
     failure_names = {k for k in failure_codes if k != "kOk"}
     annotated_hooks = set()
@@ -557,10 +571,7 @@ def rule_gate(index, failure_codes, findings):
                 annotated_hooks.add(f.name)
 
     for pf in index.files:
-        path = pf.path.replace(os.sep, "/")
-        in_scope = ("/servers/" in path or "src/servers/" in path or
-                    path.endswith("naming/csnh_server.cpp") or
-                    "fixtures" in path)
+        in_scope = _gate_in_scope(pf.path)
         for f in pf.funcs:
             if (in_scope and f.name in MUTATION_HOOKS and "::" in f.qual and
                     "V_GATED_MUTATION" not in f.ann):
@@ -573,8 +584,12 @@ def rule_gate(index, failure_codes, findings):
                 _gate_walk(pf, f, failure_names, findings)
 
     # Call-site check: whoever invokes a gated hook owns the generation bump
-    # on its success path (or is itself a gated hook delegating).
+    # on its success path (or is itself a gated hook delegating).  Hooks are
+    # matched by bare name, so only server-side code is checked: a
+    # client-side helper that happens to be called `remove` is no hook.
     for pf in index.files:
+        if not _gate_in_scope(pf.path):
+            continue
         for g in pf.funcs:
             toks = pf.toks
             has_bump = any(toks[i].text == "bump_generation"
@@ -1158,8 +1173,13 @@ def fixture_wire_paths(fix_dir):
 def analyze_fixture(fix_dir):
     wire = fixture_wire_paths(fix_dir)
     skip = {os.path.basename(p) for p in wire.values()}
-    cpp = [os.path.join(fix_dir, fn) for fn in sorted(os.listdir(fix_dir))
-           if fn.endswith((".cpp", ".hpp")) and fn not in skip]
+    cpp = []
+    for dirpath, dirnames, filenames in os.walk(fix_dir):
+        dirnames.sort()
+        top = dirpath == fix_dir
+        cpp += [os.path.join(dirpath, fn) for fn in sorted(filenames)
+                if fn.endswith((".cpp", ".hpp")) and
+                not (top and fn in skip)]
     return analyze(cpp, wire)
 
 
@@ -1184,7 +1204,16 @@ def check_fixtures(fixtures_root):
         findings = analyze_fixture(fix_dir)
         got = {f.rule for f in findings}
         missing = expected - got
-        if missing:
+        if not expected:
+            # A must-pass fixture: code the rules must NOT flag.
+            if findings:
+                print(f"FAIL fixture {d}: expected no findings, got:")
+                for f in findings:
+                    print("  " + f.format())
+                ok = False
+            else:
+                print(f"ok   fixture {d}: clean")
+        elif missing:
             print(f"FAIL fixture {d}: expected rule(s) "
                   f"{sorted(missing)} did not fire; findings:")
             for f in findings:
